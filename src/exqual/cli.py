@@ -18,31 +18,30 @@ import numpy as np
 from .encoding import (
     INDEX_BASED,
     BucketingStrategy,
-    MatrixStats,
     bucket,
     build_vocabulary,
     encode,
     read_matrix,
     write_matrix,
 )
-from .errors import DataError, EmptyInput, ExqualError, UsageError
+from .errors import DataError, EmptyInput, ExqualError, InvalidSpec, UsageError
 from .eventlog import LogSchema, extract_prefixes, parse_log, write_log
 from .explain import (
     SHAPLEY_ID,
     SURROGATE_ID,
     ExplanationSet,
-    ShapleyConfig,
-    SurrogateConfig,
     derive_seed,
-    explain_shapley,
-    explain_surrogate,
     read_explanation_set,
     repeat_explanations,
     write_explanation_set,
 )
 from .harness import (
+    _MODEL_KEYS,
     ExperimentConfig,
+    ExplainerSpec,
     _sc,
+    _write_csv,
+    build_explainer_assets,
     emit_report,
     read_bundle,
     run_experiment,
@@ -83,14 +82,6 @@ def _explanation_paths(directory: str) -> list[str]:
     if not paths:
         raise EmptyInput(f"no explanation JSON files under {directory}")
     return paths
-
-
-def _write_rows(path: str, header: list[str], rows: list[list[str]]) -> None:
-    import csv as _csv
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------- commands
@@ -138,6 +129,10 @@ def _cmd_encode(args) -> int:
 def _cmd_train(args) -> int:
     matrix = read_matrix(args.matrix)
     options = _load_json(args.config, "model config") if args.config else {}
+    unknown = set(options) - _MODEL_KEYS
+    if unknown:
+        raise InvalidSpec(f"unknown model options: {sorted(unknown)} "
+                          f"(the model seed comes from --seed)")
     config = GBTConfig(**options, seed=args.seed)
     model = train_gbt(matrix, config)
     write_model(model, args.out)
@@ -152,26 +147,20 @@ def _cmd_explain(args) -> int:
     matrix = read_matrix(args.matrix)
     row = _instance_row(matrix, args.case, args.prefix_length)
     train_matrix = read_matrix(args.train_matrix) if args.train_matrix else matrix
-
     if args.explainer == SURROGATE_ID:
-        stats = MatrixStats.from_matrix(train_matrix)
-        config = SurrogateConfig(n_samples=args.n_samples, k=args.k)
-
-        def fn(mdl, r, seed):
-            return explain_surrogate(mdl, r, stats, config, seed)
+        options = {"n_samples": args.n_samples, "k": args.k}
     else:
-        rng = np.random.default_rng(derive_seed(args.seed, _sc("background")))
-        n_bg = min(args.n_background, train_matrix.n)
-        idx = np.sort(rng.choice(train_matrix.n, size=n_bg, replace=False))
-        config = ShapleyConfig(background=train_matrix.rows[idx],
-                               n_permutations=args.n_permutations)
+        options = {"n_background": args.n_background,
+                   "n_permutations": args.n_permutations}
+    spec = ExplainerSpec.from_dict({"id": args.explainer, **options}, args.explainer)
+    assets = build_explainer_assets(spec, train_matrix, matrix, model,
+                                    global_seed=args.seed)
 
-        def fn(mdl, r, seed):
-            return explain_shapley(mdl, r, config, seed)
-
-    es = repeat_explanations(fn, model, row, m=args.m, base_seed=args.seed)
+    es = repeat_explanations(assets.explain_fn, model, row, m=args.m,
+                             base_seed=args.seed)
     es = ExplanationSet(explanations=es.explanations,
-                        case_ref=(args.case, args.prefix_length))
+                        case_ref=(args.case, args.prefix_length),
+                        explainer_spec=spec.to_dict(), assets_seed=args.seed)
     write_explanation_set(es, args.out)
     print(f"wrote {es.m} {args.explainer} explanations for "
           f"({args.case}, prefix {args.prefix_length}) -> {args.out}")
@@ -182,7 +171,10 @@ def _eval_loop(paths: list[str], evaluate) -> tuple[list[list[str]], list[str]]:
     rows, errors = [], []
     for path in paths:
         try:
-            rows.append(evaluate(read_explanation_set(path)))
+            es = read_explanation_set(path)
+            if es.case_ref is None:
+                raise DataError("explanation set has no case reference")
+            rows.append(evaluate(es))
         except ExqualError as exc:
             errors.append(f"{os.path.basename(path)}: {type(exc).__name__}: {exc}")
     return rows, errors
@@ -191,7 +183,7 @@ def _eval_loop(paths: list[str], evaluate) -> tuple[list[list[str]], list[str]]:
 def _finish_eval(rows, errors, out, header) -> int:
     if not rows and errors:
         raise DataError("; ".join(errors))
-    _write_rows(out, header, rows)
+    _write_csv(out, header, rows)
     for line in errors:
         print(f"skipped {line}", file=sys.stderr)
     print(f"wrote {len(rows)} rows -> {out}")
@@ -202,8 +194,6 @@ def _cmd_eval_stability(args) -> int:
     paths = _explanation_paths(args.explanations)
 
     def evaluate(es):
-        if es.case_ref is None:
-            raise DataError("explanation set has no case reference")
         score = score_stability(es, k=args.k)
         return [es.case_ref[0], str(es.case_ref[1]), repr(score.by_subset),
                 repr(score.by_weight), "|".join(score.flags)]
@@ -217,16 +207,25 @@ def _cmd_eval_fidelity(args) -> int:
     paths = _explanation_paths(args.explanations)
     model = read_model(_require_file(args.model, "model"))
     matrix = read_matrix(args.matrix)
-    stats = MatrixStats.from_matrix(
-        read_matrix(args.train_matrix) if args.train_matrix else matrix)
+    train_matrix = read_matrix(args.train_matrix) if args.train_matrix else matrix
+    built = {}  # (spec JSON, assets seed) -> ExplainerAssets
 
     def evaluate(es):
-        if es.case_ref is None:
-            raise DataError("explanation set has no case reference")
+        if es.explainer_spec is None or es.assets_seed is None:
+            raise DataError("explanation set records no explainer spec and assets "
+                            "seed; write it again with exqual explain")
+        key = (json.dumps(es.explainer_spec, sort_keys=True), es.assets_seed)
+        if key not in built:
+            spec = ExplainerSpec.from_dict(es.explainer_spec, es.explainer_id)
+            built[key] = build_explainer_assets(spec, train_matrix, matrix, model,
+                                                global_seed=es.assets_seed)
+        assets = built[key]
         row = _instance_row(matrix, *es.case_ref)
-        plan = build_perturbation_plan(es, matrix, train_stats=stats, k=args.k,
+        plan = build_perturbation_plan(es, assets.region_matrix,
+                                       train_stats=assets.train_stats, k=args.k,
                                        n_perturbations=args.n_perturbations,
-                                       row=row)
+                                       row=row,
+                                       attribution_matrix=assets.attribution_matrix)
         rng = np.random.default_rng(
             derive_seed(args.seed, _sc(es.case_ref[0]), es.case_ref[1]))
         score = fidelity(model, row, plan, rng=rng)
@@ -326,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="directory of explanation set JSON files")
     p.add_argument("--model", required=True)
     p.add_argument("--matrix", required=True, help="matrix holding the instances")
-    p.add_argument("--train-matrix", help="matrix for stats (default: --matrix)")
+    p.add_argument("--train-matrix",
+                   help="matrix for stats/background (default: --matrix)")
     p.add_argument("--k", type=int, default=10, help="top-k subset size")
     p.add_argument("--n-perturbations", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

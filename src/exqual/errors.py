@@ -106,10 +106,5 @@ class EmptyInput(DataError):
     pass
 
 
-class NoIntervalAvailable(ExqualError):
-    """Raised internally when no influential interval can be read off an
-    explanation set; callers fall back to a value +/- std band."""
-
-
 class EmptySamplingDomain(ExqualError):
     pass

@@ -13,7 +13,6 @@ import io
 import json
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable
 
 import numpy as np
 
@@ -357,8 +356,3 @@ def downsample_majority(log: EventLog, seed: int) -> EventLog:
     drop = {majority_idx[j] for j in range(len(majority_idx)) if j not in keep}
     traces = tuple(t for i, t in enumerate(log.traces) if i not in drop)
     return EventLog(log.schema, traces, dict(log.metadata))
-
-
-def iter_case_refs(prefix_log: PrefixLog) -> Iterable[tuple[str, int]]:
-    for e in prefix_log.entries:
-        yield (e.case_id, e.prefix_length)

@@ -91,11 +91,6 @@ class Explanation:
         ranked = sorted(self.attributions, key=lambda a: (-abs(a.weight), a.column_index))
         return tuple(a.column_index for a in ranked[:k])
 
-    def with_case_ref(self, case_id: str, prefix_length: int) -> "Explanation":
-        return Explanation(self.attributions, self.selected_k, self.explainer_id,
-                           self.seed_used, self.n_features,
-                           case_ref=(case_id, prefix_length), degenerate=self.degenerate)
-
     def to_dict(self) -> dict:
         return {
             "attributions": [a.to_dict() for a in self.attributions],
@@ -109,6 +104,9 @@ class Explanation:
 class ExplanationSet:
     explanations: tuple[Explanation, ...]
     case_ref: tuple[str, int] | None = None
+    # what the explainer assets were built from, so that they can be rebuilt
+    explainer_spec: dict | None = None  # explainer id and options
+    assets_seed: int | None = None
 
     def __post_init__(self):
         if len(self.explanations) < 2:
@@ -117,6 +115,8 @@ class ExplanationSet:
         widths = {e.n_features for e in self.explanations}
         if len(ids) != 1 or len(widths) != 1:
             raise InvalidSpec("explanation set mixes explainers or feature widths")
+        if self.explainer_spec is not None and self.explainer_spec.get("id") not in ids:
+            raise InvalidSpec("explainer spec names another explainer than the set")
 
     @property
     def m(self) -> int:
@@ -149,10 +149,6 @@ class SurrogateConfig:
     def resolved_kernel_width(self, d: int) -> float:
         return self.kernel_width if self.kernel_width is not None else 0.75 * math.sqrt(d)
 
-    def to_dict(self) -> dict:
-        return {"n_samples": self.n_samples, "kernel_width": self.kernel_width,
-                "k": self.k, "discretize_numeric": self.discretize_numeric}
-
 
 @dataclass(frozen=True)
 class ShapleyConfig:
@@ -169,10 +165,6 @@ class ShapleyConfig:
             raise InvalidSpec("exact coalition enumeration is capped at d = 20")
         if self.n_permutations < 1:
             raise InvalidSpec("n_permutations must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {"exact_max_d": self.exact_max_d, "n_permutations": self.n_permutations,
-                "background_rows": int(self.background.shape[0])}
 
 
 def sample_neighborhood(row: np.ndarray, stats: MatrixStats, n_samples: int,
@@ -433,6 +425,8 @@ def explanation_set_to_dict(es: ExplanationSet) -> dict:
         "explainer_id": es.explainer_id,
         "n_features": es.n_features,
         "explanations": [e.to_dict() for e in es.explanations],
+        "explainer_spec": es.explainer_spec,
+        "assets_seed": es.assets_seed,
     }
 
 
@@ -454,9 +448,15 @@ def explanation_set_from_dict(doc: dict) -> ExplanationSet:
             )
             for e in doc["explanations"]
         )
+        seed = doc.get("assets_seed")
+        assets_seed = None if seed is None else int(seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed explanation set document: {exc}") from exc
-    return ExplanationSet(explanations=explanations, case_ref=case_ref)
+    spec = doc.get("explainer_spec")
+    if spec is not None and not isinstance(spec, dict):
+        raise InvalidSpec(f"explainer_spec must be an object, got {spec!r}")
+    return ExplanationSet(explanations=explanations, case_ref=case_ref,
+                          explainer_spec=spec, assets_seed=assets_seed)
 
 
 def write_explanation_set(es: ExplanationSet, path: str) -> None:
@@ -467,4 +467,8 @@ def write_explanation_set(es: ExplanationSet, path: str) -> None:
 
 def read_explanation_set(path: str) -> ExplanationSet:
     with open(path, "r", encoding="utf-8") as fh:
-        return explanation_set_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidSpec(f"explanation set is not valid JSON: {exc}") from exc
+    return explanation_set_from_dict(doc)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import hashlib
-import io
 import json
 import os
 import platform
@@ -123,9 +122,22 @@ class ComboSpec:
     def to_dict(self) -> dict:
         return {"bucketing": self.bucketing, "encoding": self.encoding}
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ComboSpec":
+        if not isinstance(doc, dict) or set(doc) != {"bucketing", "encoding"}:
+            raise InvalidSpec(f"a combo needs exactly the keys bucketing and "
+                              f"encoding, got {doc!r}")
+        return cls(**doc)
 
-_SURROGATE_KEYS = {"n_samples", "kernel_width", "k", "discretize_numeric"}
-_SHAPLEY_KEYS = {"n_background", "exact_max_d", "n_permutations", "reference_size"}
+
+# option name -> accepted value types, per explainer id (exact types, so
+# that true/false is not taken for an int)
+_EXPLAINER_OPTIONS = {
+    SURROGATE_ID: {"n_samples": (int,), "kernel_width": (int, float, type(None)),
+                   "k": (int,), "discretize_numeric": (bool,)},
+    SHAPLEY_ID: {"n_background": (int,), "exact_max_d": (int,),
+                 "n_permutations": (int,), "reference_size": (int,)},
+}
 
 
 @dataclass(frozen=True)
@@ -136,17 +148,18 @@ class ExplainerSpec:
 
     @classmethod
     def from_dict(cls, doc: dict, label: str) -> "ExplainerSpec":
+        """Validated spec: a known id and options of the documented types."""
         eid = doc.get("id")
-        if eid == SURROGATE_ID:
-            allowed = _SURROGATE_KEYS
-        elif eid == SHAPLEY_ID:
-            allowed = _SHAPLEY_KEYS
-        else:
+        types = _EXPLAINER_OPTIONS.get(eid)
+        if types is None:
             raise InvalidSpec(f"unknown explainer id {eid!r}")
         options = {k: v for k, v in doc.items() if k != "id"}
-        unknown = set(options) - allowed
+        unknown = set(options) - set(types)
         if unknown:
             raise InvalidSpec(f"unknown {eid} options: {sorted(unknown)}")
+        for key, value in options.items():
+            if type(value) not in types[key]:
+                raise InvalidSpec(f"{eid} option {key!r} has the wrong type: {value!r}")
         return cls(explainer_id=eid, label=label, options=options)
 
     def to_dict(self) -> dict:
@@ -212,7 +225,7 @@ class ExperimentConfig:
             single = doc.get("dataset")
             raw_datasets = [single] if single is not None else []
         datasets = tuple(DatasetSpec.from_dict(d, i) for i, d in enumerate(raw_datasets))
-        combos = tuple(ComboSpec(**c) for c in doc.get("combos", []))
+        combos = tuple(ComboSpec.from_dict(c) for c in doc.get("combos", []))
         raw_explainers = doc.get("explainers", [])
         id_counts = {}
         for e in raw_explainers:
@@ -230,11 +243,14 @@ class ExperimentConfig:
                            for e, label in zip(raw_explainers, labels))
         kwargs = {}
         for key in ("min_prefix_length", "max_prefix_length", "m", "top_k",
-                    "n_perturbations", "sample_size", "global_seed"):
+                    "n_perturbations", "sample_size", "global_seed", "train_fraction"):
             if key in doc:
-                kwargs[key] = int(doc[key])
-        if "train_fraction" in doc:
-            kwargs["train_fraction"] = float(doc["train_fraction"])
+                kind = float if key == "train_fraction" else int
+                try:
+                    kwargs[key] = kind(doc[key])
+                except (TypeError, ValueError):
+                    raise InvalidSpec(f"config key {key!r} must be a number, "
+                                      f"got {doc[key]!r}") from None
         if "downsample" in doc:
             kwargs["downsample"] = bool(doc["downsample"])
         return cls(datasets=datasets, combos=combos, explainers=explainers,
@@ -436,6 +452,16 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+@dataclass(frozen=True)
+class ExplainerAssets:
+    """What scoring one explainer on one bucket needs beyond the model."""
+
+    explain_fn: object  # (model, row, seed) -> Explanation
+    train_stats: MatrixStats
+    region_matrix: FeatureMatrix  # matrix whose rows back influential regions
+    attribution_matrix: np.ndarray | None  # Shapley: attributions of region rows
+
+
 @dataclass
 class _BucketContext:
     """Read-only state shared by all work items of one (dataset, combo,
@@ -447,10 +473,7 @@ class _BucketContext:
     explainer: ExplainerSpec
     model: object
     test_matrix: FeatureMatrix
-    train_stats: MatrixStats
-    explainer_fn: object
-    region_matrix: FeatureMatrix  # matrix whose rows back influential regions
-    attribution_matrix: np.ndarray | None
+    assets: ExplainerAssets
 
 
 @dataclass
@@ -476,15 +499,16 @@ def _run_task(task: _Task):
                  prefix_length=prefix_length)
     try:
         started = time.perf_counter()
-        es = repeat_explanations(ctx.explainer_fn, ctx.model, row,
+        es = repeat_explanations(ctx.assets.explain_fn, ctx.model, row,
                                  m=task.m, base_seed=task.base_seed)
         elapsed = time.perf_counter() - started
         es = ExplanationSet(explanations=es.explanations,
                             case_ref=(case_id, prefix_length))
         score = evaluate_instance(
-            ctx.model, es, ctx.region_matrix, train_stats=ctx.train_stats,
-            k=task.top_k, n_perturbations=task.n_perturbations,
-            attribution_matrix=ctx.attribution_matrix,
+            ctx.model, es, ctx.assets.region_matrix,
+            train_stats=ctx.assets.train_stats, k=task.top_k,
+            n_perturbations=task.n_perturbations,
+            attribution_matrix=ctx.assets.attribution_matrix,
             rng=np.random.default_rng(task.fidelity_seed), row=row)
         record = InstanceRecord(**ident, d=matrix.d, y_original=score.y_original,
                                 by_subset=score.by_subset, by_weight=score.by_weight,
@@ -502,22 +526,24 @@ def _run_task(task: _Task):
                                          prefix_length=prefix_length)
 
 
-def _build_explainer_assets(spec: ExplainerSpec, train_matrix: FeatureMatrix,
-                            test_matrix: FeatureMatrix, train_stats: MatrixStats,
-                            model, seed_path: tuple[int, ...], global_seed: int):
-    """Explainer function plus the matrix/attribution pair backing
-    influential-region inference."""
+def build_explainer_assets(spec: ExplainerSpec, train_matrix: FeatureMatrix,
+                           test_matrix: FeatureMatrix, model, global_seed: int,
+                           seed_path: tuple[int, ...] = ()) -> ExplainerAssets:
+    """Explainer function, training statistics and the matrix/attribution
+    pair backing influential-region inference, seeded by (global_seed,
+    seed_path). Both `exqual run` and the step-by-step CLI build them here."""
+    train_stats = MatrixStats.from_matrix(train_matrix)
     if spec.explainer_id == SURROGATE_ID:
         cfg = SurrogateConfig(**spec.options)
 
         def fn(mdl, row, seed, _cfg=cfg, _stats=train_stats):
             return explain_surrogate(mdl, row, _stats, _cfg, seed)
 
-        return fn, test_matrix, None
+        return ExplainerAssets(fn, train_stats, test_matrix, None)
 
     options = dict(spec.options)
-    n_background = int(options.pop("n_background", 16))
-    reference_size = int(options.pop("reference_size", 100))
+    n_background = options.pop("n_background", 16)
+    reference_size = options.pop("reference_size", 100)
     if n_background < 1 or reference_size < 1:
         raise InvalidSpec("n_background and reference_size must be >= 1")
     bg_rng = np.random.default_rng(
@@ -540,7 +566,7 @@ def _build_explainer_assets(spec: ExplainerSpec, train_matrix: FeatureMatrix,
            ).weight_vector()
         for r in range(region_matrix.n)
     ])
-    return fn, region_matrix, attribution
+    return ExplainerAssets(fn, train_stats, region_matrix, attribution)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ReportBundle:
@@ -596,7 +622,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ReportBundle:
                     model_cfg = GBTConfig(**config.model,
                                           seed=derive_seed(gs, _sc("model"), *bpath))
                     model = train_gbt(train_matrix, model_cfg)
-                    train_stats = MatrixStats.from_matrix(train_matrix)
                 except DataError as exc:
                     failures.append(FailureRecord(
                         dataset=ds.name, stage="bucket", error=_error_text(exc),
@@ -628,10 +653,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ReportBundle:
 
                 for ei, spec in enumerate(config.explainers):
                     try:
-                        explainer_fn, region_matrix, attribution = \
-                            _build_explainer_assets(
-                                spec, train_matrix, test_matrix, train_stats,
-                                model, seed_path=(*bpath, ei), global_seed=gs)
+                        assets = build_explainer_assets(
+                            spec, train_matrix, test_matrix, model, global_seed=gs,
+                            seed_path=(*bpath, ei))
                     except DataError as exc:
                         failures.append(FailureRecord(
                             dataset=ds.name, stage="bucket", error=_error_text(exc),
@@ -641,8 +665,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ReportBundle:
                     ctx = _BucketContext(
                         dataset=ds.name, combo=combo, bucket_id=bucket_id,
                         explainer=spec, model=model, test_matrix=test_matrix,
-                        train_stats=train_stats, explainer_fn=explainer_fn,
-                        region_matrix=region_matrix, attribution_matrix=attribution)
+                        assets=assets)
                     for r in sampled:
                         case_path = (*bpath, ei, _sc(test_matrix.case_ids[r]),
                                      int(test_matrix.prefix_lengths[r]))
@@ -807,14 +830,12 @@ def emit_report(bundle: ReportBundle, out_dir: str, format: str = "csv") -> list
     emit("manifest.json", json.dumps(bundle.manifest, indent=2, sort_keys=True) + "\n")
     emit("bundle.json", json.dumps(bundle.to_dict(), indent=2, sort_keys=True) + "\n")
     if bundle.timings:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TIMING_COLUMNS)
-        for t in bundle.timings:
-            writer.writerow([t.dataset, t.bucketing, t.encoding, t.explainer,
-                             t.bucket_id, t.case_id, str(t.prefix_length), str(t.d),
-                             repr(float(t.seconds_per_explanation))])
-        emit("timing.csv", buf.getvalue())
+        path = os.path.join(out_dir, "timing.csv")
+        _write_csv(path, TIMING_COLUMNS,
+                   [[t.dataset, t.bucketing, t.encoding, t.explainer, t.bucket_id,
+                     t.case_id, t.prefix_length, t.d, t.seconds_per_explanation]
+                    for t in bundle.timings])
+        written.append(path)
 
     if format == "csv":
         _write_csv(os.path.join(out_dir, "records.csv"), RECORD_COLUMNS,
@@ -847,5 +868,8 @@ def read_bundle(path: str) -> ReportBundle:
     if not os.path.exists(path):
         raise UsageError(f"bundle file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"bundle is not valid JSON: {exc}") from exc
     return ReportBundle.from_dict(doc)

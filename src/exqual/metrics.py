@@ -10,12 +10,10 @@ of the predicted-class probability.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +25,6 @@ from .errors import (
     EmptySamplingDomain,
     EmptySet,
     InvalidSpec,
-    NoIntervalAvailable,
 )
 from .explain import SURROGATE_ID, ExplanationSet, _as_predict_fn
 
@@ -493,21 +490,6 @@ class ScoreRecord:
     by_weight: float
     f: float
     flags: tuple[str, ...] = ()
-
-
-SCORE_CSV_HEADER = ["case_id", "prefix_length", "y_original",
-                    "by_subset", "by_weight", "fidelity", "flags"]
-
-
-def score_records_to_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCORE_CSV_HEADER)
-    for r in records:
-        writer.writerow([r.case_id, str(r.prefix_length), repr(r.y_original),
-                         repr(r.by_subset), repr(r.by_weight), repr(r.f),
-                         "|".join(r.flags)])
-    return buf.getvalue()
 
 
 def evaluate_instance(model, es: ExplanationSet, test_matrix: FeatureMatrix,

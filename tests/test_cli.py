@@ -4,11 +4,25 @@ exit-code contract (0 ok, 1 usage, 2 data error, 3 partial failure)."""
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from exqual.cli import main
-from exqual.encoding import read_matrix
-from exqual.eventlog import LogSchema
+from exqual.encoding import (
+    SINGLE,
+    BucketingStrategy,
+    bucket,
+    build_vocabulary,
+    encode,
+    read_matrix,
+    write_matrix,
+)
+from exqual.eventlog import LogSchema, extract_prefixes, split_train_test
+from exqual.explain import ExplanationSet, derive_seed, repeat_explanations
+from exqual.harness import ExplainerSpec, _sc, build_explainer_assets
+from exqual.metrics import FLAG_INTERVAL_FALLBACK, evaluate_instance
+from exqual.model import GBTConfig, read_model, train_gbt, write_model
+from exqual.synthetic import generate_synthetic_log
 
 from test_harness import small_gen_spec, tiny_config
 
@@ -141,11 +155,31 @@ def test_help_exits_0():
     assert main(["--help"]) == 0
 
 
-def test_data_errors_exit_2(tmp_path):
+def test_data_errors_exit_2(tmp_path, workspace):
     # structurally broken config file
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text("{\"combos\": []", encoding="utf-8")
     assert main(["run", "--config", str(bad_cfg), "--out", str(tmp_path)]) == 2
+
+    # well-formed JSON holding a malformed setting
+    for over in (
+            {"combos": [{"bucketing": "single", "encoding": "aggregate", "x": 1}]},
+            {"m": "ten"},
+            {"explainers": [{"id": "shapley", "n_background": "many"}]}):
+        bad_cfg.write_text(json.dumps(tiny_config(**over)), encoding="utf-8")
+        assert main(["run", "--config", str(bad_cfg), "--out", str(tmp_path)]) == 2
+
+    # model options the trainer does not take; the seed comes from --seed
+    for options in ({"seed": 3}, {"min_samples_leaf": 5}):
+        bad_cfg.write_text(json.dumps(options), encoding="utf-8")
+        assert main(["train", "--matrix", str(workspace / "encoded" / "bucket_all"),
+                     "--config", str(bad_cfg),
+                     "--out", str(tmp_path / "model.json")]) == 2
+
+    # a bundle that is not valid JSON
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text("{\"records\": [", encoding="utf-8")
+    assert main(["report", "--bundle", str(bundle), "--out", str(tmp_path / "r")]) == 2
 
     # CSV missing the columns its schema promises
     log = tmp_path / "log.csv"
@@ -177,3 +211,72 @@ def test_eval_stability_partial_exit_3(tmp_path, workspace):
                  "--k", "4", "--out", str(out)]) == 3
     with open(out, encoding="utf-8") as fh:
         assert len(list(csv.DictReader(fh))) == 1
+
+
+def test_cli_fidelity_matches_harness_path(tmp_path):
+    """explain -> eval-fidelity scores an instance exactly as the in-process
+    harness path does with the same assets and seeds."""
+    log = generate_synthetic_log(small_gen_spec(n_traces=80), seed=3)
+    train_log, test_log = split_train_test(log, 0.7, seed=1)
+    single = BucketingStrategy(SINGLE)
+    (_, train_prefixes), = bucket(extract_prefixes(train_log, 2, 4), single)
+    (_, test_prefixes), = bucket(extract_prefixes(test_log, 2, 4), single)
+    vocab = build_vocabulary(train_prefixes, log.schema)
+    paths = {}
+    for name, prefixes in (("train", train_prefixes), ("test", test_prefixes)):
+        paths[name] = str(tmp_path / name)
+        write_matrix(encode(prefixes, log.schema, "aggregate", vocab, "all"), paths[name])
+    model_path = str(tmp_path / "model.json")
+    write_model(train_gbt(read_matrix(paths["train"]),
+                          GBTConfig(n_trees=5, max_depth=3, seed=2)), model_path)
+    model = read_model(model_path)
+    train, test = read_matrix(paths["train"]), read_matrix(paths["test"])
+
+    expl_dir = tmp_path / "explanations"
+    expl_dir.mkdir()
+    common = ["--model", model_path, "--train-matrix", paths["train"],
+              "--matrix", paths["test"]]
+    cases = {
+        "shapley": (0, {"n_background": 8, "n_permutations": 50}),
+        "surrogate": (test.n - 1, {"n_samples": 300, "k": 4}),
+    }
+    for eid, (r, options) in cases.items():
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in options.items()]
+        assert main(["explain", *common, "--case", test.case_ids[r],
+                     "--prefix-length", str(int(test.prefix_lengths[r])),
+                     "--explainer", eid, "--m", "3", "--seed", "11", *flags,
+                     "--out", str(expl_dir / f"{eid}.json")]) == 0
+    fid_csv = tmp_path / "fidelity.csv"
+    assert main(["eval-fidelity", "--explanations", str(expl_dir), *common,
+                 "--k", "4", "--n-perturbations", "10", "--seed", "5",
+                 "--out", str(fid_csv)]) == 0
+    with open(fid_csv, encoding="utf-8") as fh:
+        rows = {(r["case_id"], int(r["prefix_length"])): r for r in csv.DictReader(fh)}
+
+    for eid, (r, options) in cases.items():
+        case = (test.case_ids[r], int(test.prefix_lengths[r]))
+        spec = ExplainerSpec.from_dict({"id": eid, **options}, eid)
+        assets = build_explainer_assets(spec, train, test, model, global_seed=11)
+        es = repeat_explanations(assets.explain_fn, model, test.rows[r], m=3,
+                                 base_seed=11)
+        record = evaluate_instance(
+            model, ExplanationSet(es.explanations, case_ref=case),
+            assets.region_matrix, train_stats=assets.train_stats, k=4,
+            n_perturbations=10, attribution_matrix=assets.attribution_matrix,
+            rng=np.random.default_rng(derive_seed(5, _sc(case[0]), case[1])),
+            row=test.rows[r])
+        row = rows[case]
+        assert row["fidelity"] == repr(record.f)
+        assert row["y_original"] == repr(record.y_original)
+        assert row["flags"] == "|".join(record.flags)
+        if eid == "shapley":
+            assert FLAG_INTERVAL_FALLBACK not in row["flags"]
+
+    # a set written without its explainer spec and seed cannot be rescored
+    doc = json.loads((expl_dir / "shapley.json").read_text(encoding="utf-8"))
+    del doc["explainer_spec"], doc["assets_seed"]
+    old_dir = tmp_path / "old"
+    old_dir.mkdir()
+    (old_dir / "shapley.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["eval-fidelity", "--explanations", str(old_dir), *common,
+                 "--out", str(tmp_path / "old.csv")]) == 2

@@ -24,7 +24,6 @@ from exqual.metrics import (
     InfluentialRegion,
     PerturbationPlan,
     PerturbationTarget,
-    ScoreRecord,
     StabilityScore,
     SubsetMatrix,
     WeightMatrix,
@@ -36,7 +35,6 @@ from exqual.metrics import (
     fidelity,
     influential_interval,
     perturb,
-    score_records_to_csv,
     score_stability,
     select_perturbation_targets,
     stability_by_subset,
@@ -592,15 +590,3 @@ def test_evaluate_instance_produces_full_record():
     assert record.by_subset == 1.0 and record.by_weight == 1.0
     assert record.f >= 0.0
     assert 0.5 <= record.y_original < 1.0
-
-
-def test_score_records_csv_layout():
-    records = [
-        ScoreRecord("c1", 3, 0.75, 1.0, 0.5, 0.125, flags=("epsilon_guard",)),
-        ScoreRecord("c2", 5, 0.9, 0.0, -1.5, 0.0),
-    ]
-    text = score_records_to_csv(records)
-    lines = text.splitlines()
-    assert lines[0] == "case_id,prefix_length,y_original,by_subset,by_weight,fidelity,flags"
-    assert lines[1] == "c1,3,0.75,1.0,0.5,0.125,epsilon_guard"
-    assert lines[2] == "c2,5,0.9,0.0,-1.5,0.0,"
