@@ -24,7 +24,15 @@ from .encoding import (
     read_matrix,
     write_matrix,
 )
-from .errors import DataError, EmptyInput, ExqualError, InvalidSpec, UsageError
+from .errors import (
+    DataError,
+    EmptyInput,
+    ExqualError,
+    UsageError,
+    check_options,
+    read_json,
+    write_json,
+)
 from .eventlog import LogSchema, extract_prefixes, parse_log, write_log
 from .explain import (
     SHAPLEY_ID,
@@ -36,34 +44,38 @@ from .explain import (
     write_explanation_set,
 )
 from .harness import (
-    _MODEL_KEYS,
+    MODEL_OPTIONS,
     ExperimentConfig,
     ExplainerSpec,
     _sc,
     _write_csv,
+    build_explain_fn,
     build_explainer_assets,
     emit_report,
     read_bundle,
     run_experiment,
 )
 from .metrics import build_perturbation_plan, fidelity, score_stability
-from .model import GBTConfig, evaluate_accuracy, read_model, train_gbt, write_model
+from .model import (
+    GBTConfig,
+    descriptor_fingerprint,
+    evaluate_accuracy,
+    read_model,
+    train_gbt,
+    write_model,
+)
 from .synthetic import generate_synthetic_log
 
 
-def _require_file(path: str, what: str) -> str:
-    if not os.path.isfile(path):
-        raise UsageError(f"{what} not found: {path}")
-    return path
-
-
-def _load_json(path: str, what: str) -> dict:
-    _require_file(path, what)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{what} is not valid JSON: {exc}") from exc
+def _model_matrix(model, basepath: str):
+    """The matrix at basepath, once its columns are the ones model was
+    trained on (GBT models record a fingerprint of them)."""
+    matrix = read_matrix(basepath)
+    expected = getattr(model, "descriptors_fingerprint", None)
+    if expected is not None and expected != descriptor_fingerprint(matrix.descriptors):
+        raise DataError(f"matrix {basepath} has other columns than the model "
+                        f"was trained on (descriptor fingerprints differ)")
+    return matrix
 
 
 def _instance_row(matrix, case_id: str, prefix_length: int):
@@ -87,17 +99,13 @@ def _explanation_paths(directory: str) -> list[str]:
 # ---------------------------------------------------------------- commands
 
 def _cmd_synth(args) -> int:
-    gen_spec = _load_json(args.gen_spec, "generator spec")
+    gen_spec = read_json(args.gen_spec, "generator spec")
     log = generate_synthetic_log(gen_spec, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "log.csv")
     write_log(log, log_path)
-    with open(os.path.join(args.out, "schema.json"), "w", encoding="utf-8") as fh:
-        json.dump(log.schema.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(args.out, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(log.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "schema.json"), log.schema.to_dict())
+    write_json(os.path.join(args.out, "meta.json"), log.metadata)
     pos, neg = log.class_counts()
     print(f"wrote {len(log.traces)} traces ({pos} deviant / {neg} regular) "
           f"to {log_path}")
@@ -105,14 +113,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    schema = LogSchema.from_json(_require_file(args.schema, "schema"))
-    log = parse_log(_require_file(args.log, "event log"), schema)
+    schema = LogSchema.from_json(args.schema)
+    log = parse_log(args.log, schema)
     prefixes = extract_prefixes(log, args.min_prefix, args.max_prefix)
     vocab = build_vocabulary(prefixes, schema)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "vocab.json"), "w", encoding="utf-8") as fh:
-        json.dump(vocab.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "vocab.json"), vocab.to_dict())
     for bucket_id, bucket_log in bucket(prefixes, BucketingStrategy(args.bucketing)):
         padding = None
         if args.encoding == INDEX_BASED:
@@ -128,11 +134,10 @@ def _cmd_encode(args) -> int:
 
 def _cmd_train(args) -> int:
     matrix = read_matrix(args.matrix)
-    options = _load_json(args.config, "model config") if args.config else {}
-    unknown = set(options) - _MODEL_KEYS
-    if unknown:
-        raise InvalidSpec(f"unknown model options: {sorted(unknown)} "
-                          f"(the model seed comes from --seed)")
+    options = {}
+    if args.config:  # the model seed comes from --seed
+        options = read_json(args.config, "model config",
+                            lambda doc: check_options(doc, MODEL_OPTIONS, "model"))
     config = GBTConfig(**options, seed=args.seed)
     model = train_gbt(matrix, config)
     write_model(model, args.out)
@@ -143,21 +148,18 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    model = read_model(_require_file(args.model, "model"))
-    matrix = read_matrix(args.matrix)
+    model = read_model(args.model)
+    matrix = _model_matrix(model, args.matrix)
     row = _instance_row(matrix, args.case, args.prefix_length)
-    train_matrix = read_matrix(args.train_matrix) if args.train_matrix else matrix
+    train_matrix = _model_matrix(model, args.train_matrix) if args.train_matrix else matrix
     if args.explainer == SURROGATE_ID:
         options = {"n_samples": args.n_samples, "k": args.k}
     else:
         options = {"n_background": args.n_background,
                    "n_permutations": args.n_permutations}
     spec = ExplainerSpec.from_dict({"id": args.explainer, **options}, args.explainer)
-    assets = build_explainer_assets(spec, train_matrix, matrix, model,
-                                    global_seed=args.seed)
-
-    es = repeat_explanations(assets.explain_fn, model, row, m=args.m,
-                             base_seed=args.seed)
+    explain_fn, _ = build_explain_fn(spec, train_matrix, global_seed=args.seed)
+    es = repeat_explanations(explain_fn, model, row, m=args.m, base_seed=args.seed)
     es = ExplanationSet(explanations=es.explanations,
                         case_ref=(args.case, args.prefix_length),
                         explainer_spec=spec.to_dict(), assets_seed=args.seed)
@@ -205,9 +207,9 @@ def _cmd_eval_stability(args) -> int:
 
 def _cmd_eval_fidelity(args) -> int:
     paths = _explanation_paths(args.explanations)
-    model = read_model(_require_file(args.model, "model"))
-    matrix = read_matrix(args.matrix)
-    train_matrix = read_matrix(args.train_matrix) if args.train_matrix else matrix
+    model = read_model(args.model)
+    matrix = _model_matrix(model, args.matrix)
+    train_matrix = _model_matrix(model, args.train_matrix) if args.train_matrix else matrix
     built = {}  # (spec JSON, assets seed) -> ExplainerAssets
 
     def evaluate(es):
@@ -366,6 +368,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except FileNotFoundError as exc:  # a path named on the command line
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except ExqualError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,13 +14,12 @@ std. Missing cells are carried as NaN, never imputed here.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllMissingColumn, EmptyBucket, InvalidSpec
+from .errors import AllMissingColumn, EmptyBucket, InvalidSpec, read_json, write_json
 from .eventlog import CATEGORICAL, NUMERIC, EventLog, LogSchema, PrefixLog
 
 OTHER_CATEGORY = "__other__"
@@ -451,30 +450,35 @@ def write_matrix(matrix: FeatureMatrix, basepath: str) -> tuple[str, str]:
         "prefix_lengths": [int(v) for v in matrix.prefix_lengths],
         "labels": [int(v) for v in matrix.labels],
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, doc)
     return csv_path, json_path
 
 
 def read_matrix(basepath: str) -> FeatureMatrix:
-    with open(basepath + ".json", "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    descriptors = tuple(FeatureDescriptor.from_dict(d) for d in doc["descriptors"])
-    with open(basepath + ".csv", "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        values = []
-        for row in reader:
-            values.append([float(c) if c != "" else np.nan for c in row[3:]])
-    rows = np.asarray(values, dtype=np.float64)
-    if rows.ndim != 2:
-        rows = rows.reshape(len(values), len(descriptors))
-    return FeatureMatrix(
-        rows=rows,
-        descriptors=descriptors,
-        labels=np.asarray(doc["labels"], dtype=np.int8),
-        case_ids=tuple(doc["case_ids"]),
-        prefix_lengths=np.asarray(doc["prefix_lengths"], dtype=np.int64),
-        bucket_id=doc["bucket_id"],
-    )
+    """The matrix written by write_matrix(matrix, basepath)."""
+    csv_path = basepath + ".csv"
+
+    def parse(doc: dict) -> FeatureMatrix:
+        descriptors = tuple(FeatureDescriptor.from_dict(d) for d in doc["descriptors"])
+        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader, None)  # header
+            values = []
+            for line, row in enumerate(reader, start=2):
+                try:
+                    values.append([float(c) if c != "" else np.nan for c in row[3:]])
+                except ValueError as exc:
+                    raise ValueError(f"{csv_path} line {line}: {exc}") from None
+        rows = np.asarray(values, dtype=np.float64)
+        if rows.ndim != 2:
+            rows = rows.reshape(len(values), len(descriptors))
+        return FeatureMatrix(
+            rows=rows,
+            descriptors=descriptors,
+            labels=np.asarray(doc["labels"], dtype=np.int8),
+            case_ids=tuple(doc["case_ids"]),
+            prefix_lengths=np.asarray(doc["prefix_lengths"], dtype=np.int64),
+            bucket_id=doc["bucket_id"],
+        )
+
+    return read_json(basepath + ".json", "matrix", parse)

@@ -1,7 +1,11 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the input boundary:
+every JSON artifact is read by `read_json` and written by `write_json`, and
+every option object is checked against an exact-type table by `check_options`.
 
 DataError subclasses map to CLI exit code 2; UsageError maps to exit code 1.
 """
+
+import json
 
 
 class ExqualError(Exception):
@@ -108,3 +112,54 @@ class EmptyInput(DataError):
 
 class EmptySamplingDomain(ExqualError):
     pass
+
+
+# ----------------------------------------------------------- input boundary
+
+def read_json(path: str, what: str, parse=dict):
+    """parse(doc) for the JSON object stored at path.
+
+    A missing file is a UsageError. Invalid JSON, a top level that is not an
+    object, and a malformed document (parse raising InvalidSpec, or the
+    lookup, attribute, type, value or arithmetic error that a value of the
+    wrong shape raises) are an InvalidSpec naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise UsageError(f"{what} not found: {path}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InvalidSpec(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{what} {path} must hold a JSON object, "
+                          f"not {type(doc).__name__}")
+    try:
+        return parse(doc)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{what} {path}: {exc}") from exc
+    except (LookupError, AttributeError, TypeError, ValueError,
+            ArithmeticError) as exc:
+        raise InvalidSpec(f"{what} {path} is malformed: "
+                          f"{type(exc).__name__}: {exc}") from exc
+
+
+def write_json(path: str, doc) -> None:
+    """Write doc as sorted, 2-space-indented JSON with a final newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def check_options(doc, types: dict, what: str) -> dict:
+    """doc, once it is an object whose keys all appear in types and whose
+    values have one of the types listed for their key. Types are matched
+    exactly, so that true/false is not taken for an int."""
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{what} must be an object, got {doc!r}")
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise InvalidSpec(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        if type(value) not in types[key]:
+            raise InvalidSpec(f"{what} key {key!r} has the wrong type: {value!r}")
+    return doc

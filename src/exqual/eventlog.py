@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -24,6 +23,7 @@ from .errors import (
     SingleClass,
     TooFewTraces,
     TypeMismatch,
+    read_json,
 )
 
 STATIC = "static"
@@ -83,26 +83,22 @@ class LogSchema:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LogSchema":
-        try:
-            decls = tuple(
-                AttributeDecl(d["name"], d["kind"], d["dtype"])
-                for d in doc.get("attribute_decls", [])
-            )
-            return cls(
-                case_id_column=doc["case_id_column"],
-                activity_column=doc["activity_column"],
-                timestamp_column=doc["timestamp_column"],
-                attribute_decls=decls,
-                label_column=doc["label_column"],
-                positive_label=doc["positive_label"],
-            )
-        except KeyError as exc:
-            raise InvalidSpec(f"schema document missing field: {exc}") from exc
+        decls = tuple(
+            AttributeDecl(d["name"], d["kind"], d["dtype"])
+            for d in doc.get("attribute_decls", [])
+        )
+        return cls(
+            case_id_column=doc["case_id_column"],
+            activity_column=doc["activity_column"],
+            timestamp_column=doc["timestamp_column"],
+            attribute_decls=decls,
+            label_column=doc["label_column"],
+            positive_label=doc["positive_label"],
+        )
 
     @classmethod
     def from_json(cls, path: str) -> "LogSchema":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return read_json(path, "schema", cls.from_dict)
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,13 @@ mapping an (n, d) block of rows to n prediction probabilities.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoding import MatrixStats
-from .errors import EmptyBackground, InvalidSpec, WidthMismatch
+from .errors import EmptyBackground, InvalidSpec, WidthMismatch, read_json, write_json
 from .model import predict_proba_rows
 
 SURROGATE_ID = "surrogate"
@@ -431,44 +430,32 @@ def explanation_set_to_dict(es: ExplanationSet) -> dict:
 
 
 def explanation_set_from_dict(doc: dict) -> ExplanationSet:
-    try:
-        case_id = doc.get("case_id")
-        case_ref = None if case_id is None else (case_id, int(doc["prefix_length"]))
-        explainer_id = doc["explainer_id"]
-        d = int(doc["n_features"])
-        explanations = tuple(
-            Explanation(
-                attributions=tuple(Attribution.from_dict(a) for a in e["attributions"]),
-                selected_k=int(e["selected_k"]),
-                explainer_id=explainer_id,
-                seed_used=int(e["seed_used"]),
-                n_features=d,
-                case_ref=case_ref,
-                degenerate=bool(e.get("degenerate", False)),
-            )
-            for e in doc["explanations"]
+    case_id = doc.get("case_id")
+    case_ref = None if case_id is None else (case_id, int(doc["prefix_length"]))
+    explainer_id = doc["explainer_id"]
+    d = int(doc["n_features"])
+    explanations = tuple(
+        Explanation(
+            attributions=tuple(Attribution.from_dict(a) for a in e["attributions"]),
+            selected_k=int(e["selected_k"]),
+            explainer_id=explainer_id,
+            seed_used=int(e["seed_used"]),
+            n_features=d,
+            case_ref=case_ref,
+            degenerate=bool(e.get("degenerate", False)),
         )
-        seed = doc.get("assets_seed")
-        assets_seed = None if seed is None else int(seed)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSpec(f"malformed explanation set document: {exc}") from exc
-    spec = doc.get("explainer_spec")
-    if spec is not None and not isinstance(spec, dict):
-        raise InvalidSpec(f"explainer_spec must be an object, got {spec!r}")
+        for e in doc["explanations"]
+    )
+    seed = doc.get("assets_seed")
+    assets_seed = None if seed is None else int(seed)
     return ExplanationSet(explanations=explanations, case_ref=case_ref,
-                          explainer_spec=spec, assets_seed=assets_seed)
+                          explainer_spec=doc.get("explainer_spec"),
+                          assets_seed=assets_seed)
 
 
 def write_explanation_set(es: ExplanationSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(explanation_set_to_dict(es), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, explanation_set_to_dict(es))
 
 
 def read_explanation_set(path: str) -> ExplanationSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"explanation set is not valid JSON: {exc}") from exc
-    return explanation_set_from_dict(doc)
+    return read_json(path, "explanation set", explanation_set_from_dict)

@@ -15,11 +15,10 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import hashlib
-import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,7 +35,14 @@ from .encoding import (
     build_vocabulary,
     encode,
 )
-from .errors import DataError, InvalidSpec, UsageError
+from .errors import (
+    DataError,
+    InvalidSpec,
+    UsageError,
+    check_options,
+    read_json,
+    write_json,
+)
 from .eventlog import (
     LogSchema,
     downsample_majority,
@@ -90,17 +96,14 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, doc: dict, index: int) -> "DatasetSpec":
-        known = {"name", "csv", "schema", "gen_spec"}
-        unknown = set(doc) - known
-        if unknown:
-            raise InvalidSpec(f"unknown dataset keys: {sorted(unknown)}")
+        check_options(doc, _DATASET_OPTIONS, "dataset")
         name = doc.get("name")
         if name is None:
-            if "csv" in doc:
+            if doc.get("csv") is not None:
                 name = os.path.splitext(os.path.basename(doc["csv"]))[0]
             else:
                 name = f"synthetic-{index}"
-        return cls(name=str(name), csv_path=doc.get("csv"),
+        return cls(name=name, csv_path=doc.get("csv"),
                    schema_path=doc.get("schema"), gen_spec=doc.get("gen_spec"))
 
 
@@ -119,9 +122,6 @@ class ComboSpec:
     def combo_id(self) -> str:
         return f"{self.bucketing}+{self.encoding}"
 
-    def to_dict(self) -> dict:
-        return {"bucketing": self.bucketing, "encoding": self.encoding}
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ComboSpec":
         if not isinstance(doc, dict) or set(doc) != {"bucketing", "encoding"}:
@@ -130,13 +130,31 @@ class ComboSpec:
         return cls(**doc)
 
 
-# option name -> accepted value types, per explainer id (exact types, so
-# that true/false is not taken for an int)
+# option name -> accepted JSON value types, checked exactly by check_options
+_NONE = type(None)
+_NUMBER = (int, float)
+
 _EXPLAINER_OPTIONS = {
-    SURROGATE_ID: {"n_samples": (int,), "kernel_width": (int, float, type(None)),
+    SURROGATE_ID: {"n_samples": (int,), "kernel_width": (*_NUMBER, _NONE),
                    "k": (int,), "discretize_numeric": (bool,)},
     SHAPLEY_ID: {"n_background": (int,), "exact_max_d": (int,),
                  "n_permutations": (int,), "reference_size": (int,)},
+}
+
+# GBTConfig options other than the seed, which comes from global_seed or --seed
+MODEL_OPTIONS = {"n_trees": (int,), "max_depth": (int,), "learning_rate": _NUMBER,
+                 "min_leaf": (int,), "subsample": _NUMBER}
+
+_DATASET_OPTIONS = {"name": (str, _NONE), "csv": (str, _NONE),
+                    "schema": (str, _NONE), "gen_spec": (dict, _NONE)}
+
+_CONFIG_OPTIONS = {
+    "datasets": (list, _NONE), "dataset": (dict, _NONE), "combos": (list,),
+    "explainers": (list,), "min_prefix_length": (int,),
+    "max_prefix_length": (int,), "train_fraction": (float,),
+    "downsample": (bool,), "m": (int,), "top_k": (int,),
+    "n_perturbations": (int,), "sample_size": (int,), "global_seed": (int,),
+    "model": (dict,), "out_dir": (str, _NONE),
 }
 
 
@@ -149,30 +167,15 @@ class ExplainerSpec:
     @classmethod
     def from_dict(cls, doc: dict, label: str) -> "ExplainerSpec":
         """Validated spec: a known id and options of the documented types."""
-        eid = doc.get("id")
-        types = _EXPLAINER_OPTIONS.get(eid)
-        if types is None:
-            raise InvalidSpec(f"unknown explainer id {eid!r}")
+        eid = doc.get("id") if isinstance(doc, dict) else None
+        if type(eid) is not str or eid not in _EXPLAINER_OPTIONS:
+            raise InvalidSpec(f"an explainer needs a known id, got {doc!r}")
         options = {k: v for k, v in doc.items() if k != "id"}
-        unknown = set(options) - set(types)
-        if unknown:
-            raise InvalidSpec(f"unknown {eid} options: {sorted(unknown)}")
-        for key, value in options.items():
-            if type(value) not in types[key]:
-                raise InvalidSpec(f"{eid} option {key!r} has the wrong type: {value!r}")
+        check_options(options, _EXPLAINER_OPTIONS[eid], eid)
         return cls(explainer_id=eid, label=label, options=options)
 
     def to_dict(self) -> dict:
         return {"id": self.explainer_id, **self.options}
-
-
-_MODEL_KEYS = {"n_trees", "max_depth", "learning_rate", "min_leaf", "subsample"}
-
-_CONFIG_KEYS = {
-    "datasets", "dataset", "combos", "explainers", "min_prefix_length",
-    "max_prefix_length", "train_fraction", "downsample", "m", "top_k",
-    "n_perturbations", "sample_size", "global_seed", "model", "out_dir",
-}
 
 
 @dataclass(frozen=True)
@@ -210,70 +213,40 @@ class ExperimentConfig:
         names = [d.name for d in self.datasets]
         if len(set(names)) != len(names):
             raise InvalidSpec(f"duplicate dataset names: {names}")
-        unknown = set(self.model) - _MODEL_KEYS
-        if unknown:
-            raise InvalidSpec(f"unknown model options: {sorted(unknown)} "
-                              f"(the model seed is derived from global_seed)")
+        check_options(self.model, MODEL_OPTIONS, "model")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = set(doc) - _CONFIG_KEYS
-        if unknown:
-            raise InvalidSpec(f"unknown config keys: {sorted(unknown)}")
+        check_options(doc, _CONFIG_OPTIONS, "config")
         raw_datasets = doc.get("datasets")
         if raw_datasets is None:
             single = doc.get("dataset")
             raw_datasets = [single] if single is not None else []
         datasets = tuple(DatasetSpec.from_dict(d, i) for i, d in enumerate(raw_datasets))
         combos = tuple(ComboSpec.from_dict(c) for c in doc.get("combos", []))
-        raw_explainers = doc.get("explainers", [])
-        id_counts = {}
-        for e in raw_explainers:
-            id_counts[e.get("id")] = id_counts.get(e.get("id"), 0) + 1
-        labels = []
-        seen = {}
-        for e in raw_explainers:
-            eid = e.get("id")
-            if id_counts.get(eid, 0) > 1:
-                seen[eid] = seen.get(eid, 0) + 1
-                labels.append(f"{eid}-{seen[eid]}")
-            else:
-                labels.append(str(eid))
-        explainers = tuple(ExplainerSpec.from_dict(e, label)
-                           for e, label in zip(raw_explainers, labels))
-        kwargs = {}
-        for key in ("min_prefix_length", "max_prefix_length", "m", "top_k",
-                    "n_perturbations", "sample_size", "global_seed", "train_fraction"):
-            if key in doc:
-                kind = float if key == "train_fraction" else int
-                try:
-                    kwargs[key] = kind(doc[key])
-                except (TypeError, ValueError):
-                    raise InvalidSpec(f"config key {key!r} must be a number, "
-                                      f"got {doc[key]!r}") from None
-        if "downsample" in doc:
-            kwargs["downsample"] = bool(doc["downsample"])
-        return cls(datasets=datasets, combos=combos, explainers=explainers,
-                   model=dict(doc.get("model", {})), out_dir=doc.get("out_dir"),
-                   **kwargs)
+        specs = [ExplainerSpec.from_dict(e, "") for e in doc.get("explainers", [])]
+        ids = [s.explainer_id for s in specs]
+        explainers = []
+        for i, spec in enumerate(specs):
+            label = spec.explainer_id
+            if ids.count(label) > 1:  # repeated ids are numbered in order
+                label = f"{label}-{ids[:i + 1].count(label)}"
+            explainers.append(replace(spec, label=label))
+        scalars = {k: v for k, v in doc.items()
+                   if k not in ("datasets", "dataset", "combos", "explainers", "model")}
+        return cls(datasets=datasets, combos=combos, explainers=tuple(explainers),
+                   model=dict(doc.get("model", {})), **scalars)
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        if not os.path.exists(path):
-            raise UsageError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidSpec(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return read_json(path, "config", cls.from_dict)
 
     def to_dict(self) -> dict:
         # out_dir deliberately omitted: the manifest must not depend on where
         # the bundle happens to be written
         return {
             "datasets": [d.to_dict() for d in self.datasets],
-            "combos": [c.to_dict() for c in self.combos],
+            "combos": [asdict(c) for c in self.combos],
             "explainers": [e.to_dict() for e in self.explainers],
             "min_prefix_length": self.min_prefix_length,
             "max_prefix_length": self.max_prefix_length,
@@ -306,17 +279,6 @@ class InstanceRecord:
     fidelity: float
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset, "bucketing": self.bucketing,
-            "encoding": self.encoding, "explainer": self.explainer,
-            "bucket_id": self.bucket_id, "case_id": self.case_id,
-            "prefix_length": self.prefix_length, "d": self.d,
-            "y_original": self.y_original, "by_subset": self.by_subset,
-            "by_weight": self.by_weight, "fidelity": self.fidelity,
-            "flags": list(self.flags),
-        }
-
 
 @dataclass(frozen=True)
 class TimingRecord:
@@ -341,12 +303,6 @@ class AccuracyRecord:
     n: int
     accuracy: float
 
-    def to_dict(self) -> dict:
-        return {"dataset": self.dataset, "bucketing": self.bucketing,
-                "encoding": self.encoding, "bucket_id": self.bucket_id,
-                "prefix_length": self.prefix_length, "n": self.n,
-                "accuracy": self.accuracy}
-
 
 @dataclass(frozen=True)
 class FailureRecord:
@@ -359,12 +315,6 @@ class FailureRecord:
     bucket_id: str = ""
     case_id: str = ""
     prefix_length: int = 0
-
-    def to_dict(self) -> dict:
-        return {"dataset": self.dataset, "stage": self.stage, "error": self.error,
-                "bucketing": self.bucketing, "encoding": self.encoding,
-                "explainer": self.explainer, "bucket_id": self.bucket_id,
-                "case_id": self.case_id, "prefix_length": self.prefix_length}
 
 
 @dataclass(frozen=True)
@@ -382,12 +332,9 @@ class AggregateRecord:
     q3: float
     max: float
 
-    def to_dict(self) -> dict:
-        return {"dataset": self.dataset, "bucketing": self.bucketing,
-                "encoding": self.encoding, "explainer": self.explainer,
-                "metric": self.metric, "n": self.n, "mean": self.mean,
-                "min": self.min, "q1": self.q1, "median": self.median,
-                "q3": self.q3, "max": self.max}
+
+# bundle record field annotation -> accepted JSON value types
+_FIELD_TYPES = {"str": (str,), "int": (int,), "float": _NUMBER, "tuple[str, ...]": (list,)}
 
 
 @dataclass(frozen=True)
@@ -405,21 +352,31 @@ class ReportBundle:
         return {
             "format_version": 1,
             "manifest": self.manifest,
-            "aggregates": [a.to_dict() for a in self.aggregates],
-            "records": [r.to_dict() for r in self.records],
-            "accuracy": [a.to_dict() for a in self.accuracy],
-            "failures": [f.to_dict() for f in self.failures],
+            "aggregates": [asdict(a) for a in self.aggregates],
+            "records": [asdict(r) for r in self.records],
+            "accuracy": [asdict(a) for a in self.accuracy],
+            "failures": [asdict(f) for f in self.failures],
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ReportBundle":
+        if not isinstance(doc.get("manifest", {}), dict):
+            raise InvalidSpec("the bundle manifest must be an object")
+
+        def records(key, record_cls):
+            types = {f.name: _FIELD_TYPES[f.type] for f in fields(record_cls)}
+            return tuple(record_cls(**check_options(r, types, key))
+                         for r in doc.get(key, []))
+
+        instances = records("records", InstanceRecord)
+        if any(type(flag) is not str for r in instances for flag in r.flags):
+            raise InvalidSpec("record flags must be strings")
         return cls(
-            aggregates=tuple(AggregateRecord(**a) for a in doc.get("aggregates", [])),
-            records=tuple(InstanceRecord(**{**r, "flags": tuple(r.get("flags", ()))})
-                          for r in doc.get("records", [])),
+            aggregates=records("aggregates", AggregateRecord),
+            records=tuple(replace(r, flags=tuple(r.flags)) for r in instances),
             timings=(),
-            accuracy=tuple(AccuracyRecord(**a) for a in doc.get("accuracy", [])),
-            failures=tuple(FailureRecord(**f) for f in doc.get("failures", [])),
+            accuracy=records("accuracy", AccuracyRecord),
+            failures=records("failures", FailureRecord),
             manifest=doc.get("manifest", {}),
         )
 
@@ -444,7 +401,7 @@ def _load_dataset(ds: DatasetSpec, seed: int):
     try:
         schema = LogSchema.from_json(ds.schema_path)
         return parse_log(ds.csv_path, schema)
-    except OSError as exc:
+    except (OSError, UsageError) as exc:
         raise DataError(f"cannot read dataset {ds.name!r}: {exc}") from exc
 
 
@@ -526,12 +483,11 @@ def _run_task(task: _Task):
                                          prefix_length=prefix_length)
 
 
-def build_explainer_assets(spec: ExplainerSpec, train_matrix: FeatureMatrix,
-                           test_matrix: FeatureMatrix, model, global_seed: int,
-                           seed_path: tuple[int, ...] = ()) -> ExplainerAssets:
-    """Explainer function, training statistics and the matrix/attribution
-    pair backing influential-region inference, seeded by (global_seed,
-    seed_path). Both `exqual run` and the step-by-step CLI build them here."""
+def build_explain_fn(spec: ExplainerSpec, train_matrix: FeatureMatrix,
+                     global_seed: int, seed_path: tuple[int, ...] = ()):
+    """(explain fn, training statistics) for spec, with the Shapley
+    background drawn from train_matrix, seeded by (global_seed, seed_path).
+    `exqual explain` needs only these."""
     train_stats = MatrixStats.from_matrix(train_matrix)
     if spec.explainer_id == SURROGATE_ID:
         cfg = SurrogateConfig(**spec.options)
@@ -539,7 +495,7 @@ def build_explainer_assets(spec: ExplainerSpec, train_matrix: FeatureMatrix,
         def fn(mdl, row, seed, _cfg=cfg, _stats=train_stats):
             return explain_surrogate(mdl, row, _stats, _cfg, seed)
 
-        return ExplainerAssets(fn, train_stats, test_matrix, None)
+        return fn, train_stats
 
     options = dict(spec.options)
     n_background = options.pop("n_background", 16)
@@ -555,9 +511,22 @@ def build_explainer_assets(spec: ExplainerSpec, train_matrix: FeatureMatrix,
     def fn(mdl, row, seed, _cfg=cfg):
         return explain_shapley(mdl, row, _cfg, seed)
 
+    return fn, train_stats
+
+
+def build_explainer_assets(spec: ExplainerSpec, train_matrix: FeatureMatrix,
+                           test_matrix: FeatureMatrix, model, global_seed: int,
+                           seed_path: tuple[int, ...] = ()) -> ExplainerAssets:
+    """Explainer function, training statistics and the matrix/attribution
+    pair backing influential-region inference, seeded by (global_seed,
+    seed_path). `exqual run` and `exqual eval-fidelity` build them here."""
+    fn, train_stats = build_explain_fn(spec, train_matrix, global_seed, seed_path)
+    if spec.explainer_id == SURROGATE_ID:
+        return ExplainerAssets(fn, train_stats, test_matrix, None)
+
     ref_rng = np.random.default_rng(
         derive_seed(global_seed, _sc("reference_sample"), *seed_path))
-    n_ref = min(reference_size, test_matrix.n)
+    n_ref = min(spec.options.get("reference_size", 100), test_matrix.n)
     ref_idx = np.sort(ref_rng.choice(test_matrix.n, size=n_ref, replace=False))
     region_matrix = _submatrix(test_matrix, ref_idx)
     attribution = np.vstack([
@@ -749,6 +718,8 @@ FAILURE_COLUMNS = ["dataset", "stage", "bucketing", "encoding", "explainer",
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(float(value))
+    if isinstance(value, tuple):  # flags
+        return "|".join(value)
     return str(value)
 
 
@@ -758,12 +729,6 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _record_rows(records) -> list[list]:
-    return [[r.dataset, r.bucketing, r.encoding, r.explainer, r.bucket_id,
-             r.case_id, r.prefix_length, r.d, r.y_original, r.by_subset,
-             r.by_weight, r.fidelity, "|".join(r.flags)] for r in records]
 
 
 def _markdown_table(bundle: ReportBundle, metric: str) -> str:
@@ -821,55 +786,32 @@ def emit_report(bundle: ReportBundle, out_dir: str, format: str = "csv") -> list
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    def emit(name: str, text: str):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        written.append(path)
+    def path_of(name: str) -> str:
+        written.append(os.path.join(out_dir, name))
+        return written[-1]
 
-    emit("manifest.json", json.dumps(bundle.manifest, indent=2, sort_keys=True) + "\n")
-    emit("bundle.json", json.dumps(bundle.to_dict(), indent=2, sort_keys=True) + "\n")
+    def table(name: str, columns: list[str], items) -> None:
+        _write_csv(path_of(name), columns,
+                   [[getattr(item, c) for c in columns] for item in items])
+
+    write_json(path_of("manifest.json"), bundle.manifest)
+    write_json(path_of("bundle.json"), bundle.to_dict())
     if bundle.timings:
-        path = os.path.join(out_dir, "timing.csv")
-        _write_csv(path, TIMING_COLUMNS,
-                   [[t.dataset, t.bucketing, t.encoding, t.explainer, t.bucket_id,
-                     t.case_id, t.prefix_length, t.d, t.seconds_per_explanation]
-                    for t in bundle.timings])
-        written.append(path)
-
+        table("timing.csv", TIMING_COLUMNS, bundle.timings)
     if format == "csv":
-        _write_csv(os.path.join(out_dir, "records.csv"), RECORD_COLUMNS,
-                   _record_rows(bundle.records))
-        written.append(os.path.join(out_dir, "records.csv"))
+        table("records.csv", RECORD_COLUMNS, bundle.records)
         for metric, name in (("by_subset", "aggregate_stability_subset.csv"),
                              ("by_weight", "aggregate_stability_weight.csv"),
                              ("fidelity", "aggregate_fidelity.csv")):
-            rows = [[a.dataset, a.bucketing, a.encoding, a.explainer, a.n,
-                     a.mean, a.min, a.q1, a.median, a.q3, a.max]
-                    for a in bundle.aggregates if a.metric == metric]
-            path = os.path.join(out_dir, name)
-            _write_csv(path, AGGREGATE_COLUMNS, rows)
-            written.append(path)
-        _write_csv(os.path.join(out_dir, "accuracy_by_prefix.csv"), ACCURACY_COLUMNS,
-                   [[a.dataset, a.bucketing, a.encoding, a.bucket_id,
-                     a.prefix_length, a.n, a.accuracy] for a in bundle.accuracy])
-        written.append(os.path.join(out_dir, "accuracy_by_prefix.csv"))
-        _write_csv(os.path.join(out_dir, "failures.csv"), FAILURE_COLUMNS,
-                   [[f.dataset, f.stage, f.bucketing, f.encoding, f.explainer,
-                     f.bucket_id, f.case_id, f.prefix_length, f.error]
-                    for f in bundle.failures])
-        written.append(os.path.join(out_dir, "failures.csv"))
+            table(name, AGGREGATE_COLUMNS,
+                  [a for a in bundle.aggregates if a.metric == metric])
+        table("accuracy_by_prefix.csv", ACCURACY_COLUMNS, bundle.accuracy)
+        table("failures.csv", FAILURE_COLUMNS, bundle.failures)
     elif format == "markdown":
-        emit("report.md", _render_markdown(bundle))
+        with open(path_of("report.md"), "w", encoding="utf-8", newline="") as fh:
+            fh.write(_render_markdown(bundle))
     return written
 
 
 def read_bundle(path: str) -> ReportBundle:
-    if not os.path.exists(path):
-        raise UsageError(f"bundle file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"bundle is not valid JSON: {exc}") from exc
-    return ReportBundle.from_dict(doc)
+    return read_json(path, "bundle", ReportBundle.from_dict)

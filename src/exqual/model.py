@@ -22,6 +22,8 @@ from .errors import (
     NonConvergence,
     SingleClass,
     WidthMismatch,
+    read_json,
+    write_json,
 )
 
 LEAF_REG = 1.0  # L2 term on leaf weights (Newton denominator)
@@ -422,11 +424,8 @@ def model_from_dict(doc: dict):
 
 
 def write_model(model, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def read_model(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return read_json(path, "model", model_from_dict)

@@ -280,3 +280,146 @@ def test_cli_fidelity_matches_harness_path(tmp_path):
     (old_dir / "shapley.json").write_text(json.dumps(doc), encoding="utf-8")
     assert main(["eval-fidelity", "--explanations", str(old_dir), *common,
                  "--out", str(tmp_path / "old.csv")]) == 2
+
+
+def _copy_matrix(workspace, tmp_path, edit_csv=None, edit_doc=None) -> str:
+    """A copy of the workspace matrix at tmp_path/matrix, edited on the way."""
+    src = workspace / "encoded" / "bucket_all"
+    text = src.with_suffix(".csv").read_text(encoding="utf-8")
+    doc = json.loads(src.with_suffix(".json").read_text(encoding="utf-8"))
+    (tmp_path / "matrix.csv").write_text(edit_csv(text) if edit_csv else text,
+                                         encoding="utf-8")
+    if edit_doc:
+        edit_doc(doc)
+    (tmp_path / "matrix.json").write_text(json.dumps(doc), encoding="utf-8")
+    return str(tmp_path / "matrix")
+
+
+def _report(ws, tmp, text):
+    (tmp / "bundle.json").write_text(text, encoding="utf-8")
+    return ["report", "--bundle", str(tmp / "bundle.json"), "--out", str(tmp / "r")]
+
+
+def _explain(ws, tmp, text):
+    (tmp / "model.json").write_text(text, encoding="utf-8")
+    matrix = read_matrix(str(ws / "encoded" / "bucket_all"))
+    return ["explain", "--model", str(tmp / "model.json"),
+            "--matrix", str(ws / "encoded" / "bucket_all"),
+            "--case", matrix.case_ids[0], "--prefix-length",
+            str(int(matrix.prefix_lengths[0])), "--out", str(tmp / "e.json")]
+
+
+def _model_without_trees(ws, tmp):
+    doc = json.loads((ws / "model.json").read_text(encoding="utf-8"))
+    del doc["trees"]
+    return _explain(ws, tmp, json.dumps(doc))
+
+
+def _encode(ws, tmp, text):
+    (tmp / "schema.json").write_text(text, encoding="utf-8")
+    return ["encode", "--log", str(ws / "data" / "log.csv"),
+            "--schema", str(tmp / "schema.json"), "--out", str(tmp / "enc")]
+
+
+def _train(ws, tmp, basepath):
+    return ["train", "--matrix", basepath, "--out", str(tmp / "model.json")]
+
+
+def _bad_cell(text):
+    lines = text.splitlines()
+    cells = lines[1].split(",")
+    cells[3] = "x"
+    return "\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n"
+
+
+def _eval_stability(ws, tmp):
+    (tmp / "expl").mkdir()
+    (tmp / "expl" / "listed.json").write_text("[]", encoding="utf-8")
+    return ["eval-stability", "--explanations", str(tmp / "expl"),
+            "--out", str(tmp / "stab.csv")]
+
+
+def _run(ws, tmp, **over):
+    (tmp / "config.json").write_text(json.dumps(tiny_config(**over)), encoding="utf-8")
+    return ["run", "--config", str(tmp / "config.json"), "--out", str(tmp / "out")]
+
+
+def _mistyped_bundle(ws, tmp):
+    doc = {"aggregates": [{"dataset": "d", "bucketing": "single",
+                           "encoding": "aggregate", "explainer": "surrogate",
+                           "metric": "fidelity", "n": 1, "mean": "x", "min": 0.0,
+                           "q1": 0.0, "median": 0.0, "q3": 0.0, "max": 0.0}]}
+    return _report(ws, tmp, json.dumps(doc))
+
+
+# name -> (argv builder, expected exit code, the file stderr must name)
+MALFORMED_INPUTS = {
+    "report-list-bundle": (lambda ws, tmp: _report(ws, tmp, "[]"), 2, "bundle.json"),
+    "report-mistyped-aggregate": (_mistyped_bundle, 2, "bundle.json"),
+    "explain-invalid-json-model": (lambda ws, tmp: _explain(ws, tmp, "{"), 2, "model.json"),
+    "explain-list-model": (lambda ws, tmp: _explain(ws, tmp, "[]"), 2, "model.json"),
+    "explain-model-without-trees": (_model_without_trees, 2, "model.json"),
+    "encode-invalid-json-schema": (lambda ws, tmp: _encode(ws, tmp, "{"), 2, "schema.json"),
+    "encode-list-schema": (lambda ws, tmp: _encode(ws, tmp, "[]"), 2, "schema.json"),
+    "train-non-numeric-cell": (
+        lambda ws, tmp: _train(ws, tmp, _copy_matrix(ws, tmp, edit_csv=_bad_cell)),
+        2, "matrix.csv"),
+    "train-matrix-without-descriptors": (
+        lambda ws, tmp: _train(ws, tmp, _copy_matrix(
+            ws, tmp, edit_doc=lambda doc: doc.pop("descriptors"))),
+        2, "matrix.json"),
+    "train-missing-matrix": (lambda ws, tmp: _train(ws, tmp, str(tmp / "absent")),
+                             1, "absent"),
+    "eval-stability-list-explanations": (_eval_stability, 2, "listed.json"),
+    "run-non-object-explainer": (lambda ws, tmp: _run(ws, tmp, explainers=[5]),
+                                 2, "config.json"),
+    "run-string-n-trees": (lambda ws, tmp: _run(ws, tmp, model={"n_trees": "x"}),
+                           2, "config.json"),
+    "run-bool-n-trees": (lambda ws, tmp: _run(ws, tmp, model={"n_trees": True}),
+                         2, "config.json"),
+    "run-string-downsample": (lambda ws, tmp: _run(ws, tmp, downsample="no"),
+                              2, "config.json"),
+    "run-fractional-m": (lambda ws, tmp: _run(ws, tmp, m=10.5), 2, "config.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_with_one_line(name, workspace, tmp_path, capsys):
+    build, expected, culprit = MALFORMED_INPUTS[name]
+    argv = build(workspace, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert culprit in err
+    assert len(err.strip().splitlines()) == 1, err
+
+
+def test_model_refuses_matrix_from_other_vocabulary(workspace, tmp_path, capsys):
+    """Same width, other columns: the model's descriptor fingerprint differs."""
+    spec = small_gen_spec(n_traces=80)
+    spec["activities"] = ["a", "b", "c", "z"]
+    spec_path = tmp_path / "gen.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["synth", "--gen-spec", str(spec_path), "--seed", "3",
+                 "--out", str(tmp_path / "data")]) == 0
+    assert main(["encode", "--log", str(tmp_path / "data" / "log.csv"),
+                 "--schema", str(tmp_path / "data" / "schema.json"),
+                 "--min-prefix", "2", "--max-prefix", "4",
+                 "--out", str(tmp_path / "enc")]) == 0
+    ours = str(workspace / "encoded" / "bucket_all")
+    other = str(tmp_path / "enc" / "bucket_all")
+    matrix = read_matrix(other)
+    assert matrix.d == read_matrix(ours).d
+    model = str(workspace / "model.json")
+    capsys.readouterr()
+    assert main(["explain", "--model", model, "--matrix", other,
+                 "--case", matrix.case_ids[0],
+                 "--prefix-length", str(int(matrix.prefix_lengths[0])),
+                 "--out", str(tmp_path / "e.json")]) == 2
+    assert "fingerprint" in capsys.readouterr().err
+    (tmp_path / "expl").mkdir()
+    (tmp_path / "expl" / "unread.json").write_text("{}", encoding="utf-8")
+    assert main(["eval-fidelity", "--explanations", str(tmp_path / "expl"),
+                 "--model", model, "--matrix", ours, "--train-matrix", other,
+                 "--out", str(tmp_path / "fid.csv")]) == 2
+    assert "fingerprint" in capsys.readouterr().err
