@@ -10,6 +10,18 @@ Two built-in explainers over any predict function:
 
 `model` may be a trained model from the model module or any callable
 mapping an (n, d) block of rows to n prediction probabilities.
+
+The Shapley explainer predicts only composite rows that can differ. A
+composite takes some features from the instance and the rest from one
+background row b; a feature whose splits (in every tree) send the instance
+and b the same way reaches the same leaves from either value. So for a
+tree model each distinct routing is predicted once: 2^|D_b| restricted
+composites per b in the exact regime, and only the walk steps that add a
+feature of D_b in the sampled one, where D_b is the set of features that
+route the instance and b apart (`model.routing_differs`). Every value is
+the one predicting all composites would give, bit for bit; for a linear
+model or an opaque callable D_b is every feature and all composites are
+predicted.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ import numpy as np
 
 from .encoding import MatrixStats
 from .errors import EmptyBackground, InvalidSpec, WidthMismatch, read_json, write_json
-from .model import predict_proba_rows
+from .model import predict_proba_rows, routing_differs
 
 SURROGATE_ID = "surrogate"
 SHAPLEY_ID = "shapley"
@@ -317,19 +329,34 @@ def _surrogate_interval(j: int, x: np.ndarray, stats: MatrixStats,
     return (float(x[j] - stats.scales[j]), float(x[j] + stats.scales[j]))
 
 
-def _exact_shapley(predict, row: np.ndarray, background: np.ndarray) -> np.ndarray:
+def _exact_shapley(predict, row: np.ndarray, background: np.ndarray,
+                   differs: np.ndarray) -> np.ndarray:
     d = row.shape[0]
     n_masks = 1 << d
     n_bg = background.shape[0]
+    # The composite of coalition S with background row b predicts the same
+    # as its restriction to D_b = differs[b], so predict each of the
+    # 2^|D_b| restrictions once. Restriction `code` of b takes feature j
+    # from `row` when bit place[b, j] of code is set.
+    place = np.where(differs, np.cumsum(differs, axis=1) - 1, 0)
+    sizes = np.left_shift(1, differs.sum(axis=1), dtype=np.int64)
+    offset = np.cumsum(sizes) - sizes
+    distinct = np.empty(int(sizes.sum()))
+    for start in range(0, distinct.size, _EXACT_ROW_BUDGET):
+        idx = np.arange(start, min(start + _EXACT_ROW_BUDGET, distinct.size))
+        b = np.searchsorted(offset, idx, side="right") - 1
+        take = differs[b] & (((idx - offset[b])[:, None] >> place[b]) & 1).astype(bool)
+        distinct[idx] = predict(np.where(take, row[None, :], background[b]))
+
+    # v(S) = mean over b of the prediction of S restricted to D_b
+    weight = np.where(differs, np.left_shift(1, place), 0).T  # (d, n_bg)
     v = np.empty(n_masks)
     chunk = max(1, _EXACT_ROW_BUDGET // n_bg)
     masks = np.arange(n_masks, dtype=np.int64)
     bits = (masks[:, None] >> np.arange(d)[None, :]) & 1  # (n_masks, d)
     for start in range(0, n_masks, chunk):
-        block = bits[start:start + chunk].astype(bool)  # (b, d)
-        composite = np.where(block[:, None, :], row[None, None, :], background[None, :, :])
-        preds = predict(composite.reshape(-1, d)).reshape(block.shape[0], n_bg)
-        v[start:start + chunk] = preds.mean(axis=1)
+        codes = bits[start:start + chunk] @ weight + offset  # (b, n_bg)
+        v[start:start + chunk] = distinct[codes].mean(axis=1)
 
     counts = bits.sum(axis=1)
     fact = [math.factorial(s) for s in range(d + 1)]
@@ -343,30 +370,39 @@ def _exact_shapley(predict, row: np.ndarray, background: np.ndarray) -> np.ndarr
 
 
 def _sampled_shapley(predict, row: np.ndarray, background: np.ndarray,
-                     n_permutations: int, rng: np.random.Generator) -> np.ndarray:
+                     differs: np.ndarray, n_permutations: int,
+                     rng: np.random.Generator) -> np.ndarray:
     d = row.shape[0]
     n_bg = background.shape[0]
+    perms = np.empty((n_permutations, d), dtype=np.int64)
+    base = np.empty(n_permutations, dtype=np.int64)
+    for p in range(n_permutations):
+        perms[p] = rng.permutation(d)
+        base[p] = rng.integers(0, n_bg)
+    position = np.empty_like(perms)
+    position[np.arange(n_permutations)[:, None], perms] = np.arange(d)
+
+    # Step t of walk p takes the first t features of perms[p] from `row`.
+    # A step whose added feature is outside D_b of the walk's background
+    # row moves no leaf: it is not predicted, it repeats the prediction
+    # before it, and its gain is exactly 0.
+    predicted = np.ones((n_permutations, d + 1), dtype=bool)
+    predicted[:, 1:] = differs[base[:, None], perms]
+    walk, step = np.nonzero(predicted)
+    preds = np.empty(walk.size)
+    for start in range(0, walk.size, _PERMUTATION_ROW_BUDGET):
+        w = walk[start:start + _PERMUTATION_ROW_BUDGET]
+        s = step[start:start + _PERMUTATION_ROW_BUDGET]
+        composite = np.where(position[w] < s[:, None], row[None, :], background[base[w]])
+        preds[start:start + w.size] = predict(composite)
+    values = np.empty((n_permutations, d + 1))
+    values[predicted] = preds
+    last = np.maximum.accumulate(np.where(predicted, np.arange(d + 1), 0), axis=1)
+    gains = np.diff(np.take_along_axis(values, last, axis=1), axis=1)
+
     phi = np.zeros(d)
-    batch = max(1, _PERMUTATION_ROW_BUDGET // (d + 1))
-    done = 0
-    while done < n_permutations:
-        b = min(batch, n_permutations - done)
-        composites = np.empty((b, d + 1, d))
-        perms = np.empty((b, d), dtype=np.int64)
-        for p in range(b):
-            perm = rng.permutation(d)
-            perms[p] = perm
-            base = background[rng.integers(0, n_bg)]
-            position = np.empty(d, dtype=np.int64)
-            position[perm] = np.arange(d)
-            # row t of the walk has the first t features of perm set to `row`
-            take = position[None, :] < np.arange(d + 1)[:, None]
-            composites[p] = np.where(take, row[None, :], base[None, :])
-        preds = predict(composites.reshape(-1, d)).reshape(b, d + 1)
-        gains = np.diff(preds, axis=1)  # (b, d), gain t belongs to perm[t]
-        for p in range(b):
-            phi[perms[p]] += gains[p]
-        done += b
+    for p in range(n_permutations):  # gain t belongs to perms[p, t]
+        phi[perms[p]] += gains[p]
     return phi / n_permutations
 
 
@@ -377,6 +413,17 @@ def explain_shapley(model, row: np.ndarray, config: ShapleyConfig,
     instance. Exact coalition enumeration when d <= exact_max_d (seed
     independent), permutation sampling otherwise. Attributions carry no
     intervals; the perturbation planner infers them from value binning.
+
+    Only composites that can differ are predicted. For background row b,
+    D_b is the set of features with a split that sends the instance and b
+    to different sides (`model.routing_differs`; every feature for a model
+    that is not a tree ensemble). Taking a feature outside D_b from the
+    instance instead of b reaches the same leaves, so the same prediction.
+    The exact regime therefore predicts each composite of b restricted to
+    D_b once (2^|D_b| per b, not 2^d) and gathers v(S) from them; the
+    sampled regime predicts only the walk steps that add a feature of D_b
+    and repeats the previous prediction at the others. Both give the same
+    values, bit for bit, as predicting every composite.
     """
     predict = _as_predict_fn(model)
     row = np.asarray(row, dtype=np.float64)
@@ -384,12 +431,14 @@ def explain_shapley(model, row: np.ndarray, config: ShapleyConfig,
     if row.ndim != 1 or background.shape[1] != row.shape[0]:
         raise WidthMismatch(background.shape[1], row.shape)
     d = row.shape[0]
+    differs = routing_differs(model, row, background)
 
     if d <= config.exact_max_d:
-        phi = _exact_shapley(predict, row, background)
+        phi = _exact_shapley(predict, row, background, differs)
     else:
         rng = np.random.default_rng(seed)
-        phi = _sampled_shapley(predict, row, background, config.n_permutations, rng)
+        phi = _sampled_shapley(predict, row, background, differs,
+                               config.n_permutations, rng)
 
     attributions = tuple(Attribution(j, float(phi[j]), None) for j in range(d))
     return Explanation(attributions=attributions, selected_k=d,

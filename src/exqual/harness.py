@@ -360,8 +360,18 @@ class ReportBundle:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ReportBundle":
-        if not isinstance(doc.get("manifest", {}), dict):
+        manifest = doc.get("manifest", {})
+        if not isinstance(manifest, dict):
             raise InvalidSpec("the bundle manifest must be an object")
+        config = manifest.get("config", {})
+        if not isinstance(config, dict):
+            raise InvalidSpec("the bundle manifest's config must be an object")
+        datasets = config.get("datasets", [])
+        if not isinstance(datasets, list) or any(
+                not isinstance(ds, dict) or type(ds.get("name")) is not str
+                for ds in datasets):
+            raise InvalidSpec("the bundle manifest's datasets must be objects "
+                              "with a string name")
 
         def records(key, record_cls):
             types = {f.name: _FIELD_TYPES[f.type] for f in fields(record_cls)}
@@ -377,7 +387,7 @@ class ReportBundle:
             timings=(),
             accuracy=records("accuracy", AccuracyRecord),
             failures=records("failures", FailureRecord),
-            manifest=doc.get("manifest", {}),
+            manifest=manifest,
         )
 
 

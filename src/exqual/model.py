@@ -63,6 +63,17 @@ class GBTConfig:
                 "subsample": self.subsample, "seed": self.seed}
 
 
+# Tree array -> (dtype, accepted JSON element types, matched exactly)
+_TREE_ARRAYS = {
+    "feature": (np.int32, (int,)),
+    "threshold": (np.float64, (int, float)),
+    "left": (np.int32, (int,)),
+    "right": (np.int32, (int,)),
+    "default_left": (bool, (bool,)),
+    "value": (np.float64, (int, float)),
+}
+
+
 @dataclass(frozen=True)
 class Tree:
     """Flat regression tree. feature[i] == -1 marks a leaf (value[i] is its
@@ -104,15 +115,30 @@ class Tree:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(doc["feature"], dtype=np.int32),
-            threshold=np.asarray(doc["threshold"], dtype=np.float64),
-            left=np.asarray(doc["left"], dtype=np.int32),
-            right=np.asarray(doc["right"], dtype=np.int32),
-            default_left=np.asarray(doc["default_left"], dtype=bool),
-            value=np.asarray(doc["value"], dtype=np.float64),
-        )
+    def from_dict(cls, doc: dict, n_features: int) -> "Tree":
+        """The tree stored in doc, once its arrays are checked to describe a
+        tree over n_features columns that every row can walk to a leaf."""
+        arrays = {}
+        for key, (dtype, types) in _TREE_ARRAYS.items():
+            items = doc[key]
+            if type(items) is not list or any(type(v) not in types for v in items):
+                raise InvalidSpec(f"tree {key!r} must be a list of "
+                                  f"{'/'.join(t.__name__ for t in types)}")
+            arrays[key] = np.asarray(items, dtype=dtype)
+        n_nodes = len(arrays["feature"])
+        if n_nodes == 0 or any(len(a) != n_nodes for a in arrays.values()):
+            raise InvalidSpec("tree arrays must be non-empty and of equal length")
+        tree = cls(**arrays)
+        internal = tree.feature >= 0
+        if np.any(tree.feature < -1) or np.any(tree.feature >= n_features):
+            raise InvalidSpec(f"tree features must be -1 (leaf) or in [0, {n_features})")
+        # children come after their parent, as training writes them, so
+        # that every walk from the root ends at a leaf
+        node = np.arange(n_nodes)[internal]
+        for child in (tree.left[internal], tree.right[internal]):
+            if np.any(child <= node) or np.any(child >= n_nodes):
+                raise InvalidSpec("tree child index outside the node arrays")
+        return tree
 
 
 @dataclass(frozen=True)
@@ -314,6 +340,35 @@ def predict_proba_rows(model, rows: np.ndarray) -> np.ndarray:
     return _sigmoid(predict_raw(model, rows))
 
 
+def routing_differs(model, row: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(n, d) bool: entry (i, j) is True when some split on feature j, in any
+    tree and reached or not, sends row and rows[i] to different sides
+    (missing values follow default_left). Where it is False, swapping
+    rows[i, j] for row[j] in any composite changes no leaf, so no
+    prediction. For a model other than a GBTModel, or any callable, every
+    entry is True."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    row = np.asarray(row, dtype=np.float64)
+    d = row.shape[0]
+    if not isinstance(model, GBTModel):
+        return np.ones((rows.shape[0], d), dtype=bool)
+    for width in (d, rows.shape[1]):
+        if width != model.n_features:
+            raise WidthMismatch(model.n_features, width)
+    internal = [t.feature >= 0 for t in model.trees]
+    feature = np.concatenate([t.feature[i] for t, i in zip(model.trees, internal)])
+    threshold = np.concatenate([t.threshold[i] for t, i in zip(model.trees, internal)])
+    default_left = np.concatenate([t.default_left[i] for t, i in zip(model.trees, internal)])
+
+    def go_left(vals):
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isnan(vals), default_left, vals < threshold)
+
+    split_differs = go_left(rows[:, feature]) != go_left(row[feature])  # (n, n_splits)
+    on_feature = feature[:, None] == np.arange(d)[None, :]  # (n_splits, d)
+    return (split_differs.astype(np.int64) @ on_feature) > 0
+
+
 def predict_proba(model, row: np.ndarray) -> float:
     """Probability of the positive class for one feature vector, in (0, 1)."""
     row = np.asarray(row, dtype=np.float64)
@@ -413,10 +468,11 @@ def model_from_dict(doc: dict):
         return LinearModel(weights=np.asarray(doc["weights"], dtype=np.float64),
                            intercept=float(doc["intercept"]))
     if kind == "gbt":
+        n_features = int(doc["n_features"])
         return GBTModel(
-            trees=tuple(Tree.from_dict(t) for t in doc["trees"]),
+            trees=tuple(Tree.from_dict(t, n_features) for t in doc["trees"]),
             base_score=float(doc["base_score"]),
-            n_features=int(doc["n_features"]),
+            n_features=n_features,
             descriptors_fingerprint=doc["descriptors_fingerprint"],
             config=GBTConfig(**doc["config"]),
         )

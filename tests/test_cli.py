@@ -309,10 +309,29 @@ def _explain(ws, tmp, text):
             str(int(matrix.prefix_lengths[0])), "--out", str(tmp / "e.json")]
 
 
-def _model_without_trees(ws, tmp):
-    doc = json.loads((ws / "model.json").read_text(encoding="utf-8"))
-    del doc["trees"]
-    return _explain(ws, tmp, json.dumps(doc))
+def _edited_model(edit):
+    def build(ws, tmp):
+        doc = json.loads((ws / "model.json").read_text(encoding="utf-8"))
+        edit(doc)
+        return _explain(ws, tmp, json.dumps(doc))
+    return build
+
+
+def _first_split(doc) -> tuple[dict, int]:
+    tree = doc["trees"][0]
+    return tree, next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+
+
+def _split_on(feature):
+    def edit(doc):
+        tree, node = _first_split(doc)
+        tree["feature"][node] = feature
+    return edit
+
+
+def _dangling_child(doc):
+    tree, node = _first_split(doc)
+    tree["left"][node] = len(tree["feature"])
 
 
 def _encode(ws, tmp, text):
@@ -352,13 +371,27 @@ def _mistyped_bundle(ws, tmp):
     return _report(ws, tmp, json.dumps(doc))
 
 
+def _manifest_bundle(config):
+    return lambda ws, tmp: _report(ws, tmp, json.dumps({"manifest": {"config": config}}))
+
+
 # name -> (argv builder, expected exit code, the file stderr must name)
 MALFORMED_INPUTS = {
     "report-list-bundle": (lambda ws, tmp: _report(ws, tmp, "[]"), 2, "bundle.json"),
     "report-mistyped-aggregate": (_mistyped_bundle, 2, "bundle.json"),
     "explain-invalid-json-model": (lambda ws, tmp: _explain(ws, tmp, "{"), 2, "model.json"),
     "explain-list-model": (lambda ws, tmp: _explain(ws, tmp, "[]"), 2, "model.json"),
-    "explain-model-without-trees": (_model_without_trees, 2, "model.json"),
+    "explain-model-without-trees": (_edited_model(lambda doc: doc.pop("trees")),
+                                    2, "model.json"),
+    "explain-out-of-range-feature": (_edited_model(_split_on(99)), 2, "model.json"),
+    "explain-negative-feature": (_edited_model(_split_on(-2)), 2, "model.json"),
+    "explain-fractional-feature": (_edited_model(_split_on(1.5)), 2, "model.json"),
+    "explain-dangling-child": (_edited_model(_dangling_child), 2, "model.json"),
+    "explain-short-tree-array": (
+        _edited_model(lambda doc: doc["trees"][0]["value"].pop()), 2, "model.json"),
+    "report-list-config": (_manifest_bundle([]), 2, "bundle.json"),
+    "report-dataset-without-name": (_manifest_bundle({"datasets": [{}]}),
+                                    2, "bundle.json"),
     "encode-invalid-json-schema": (lambda ws, tmp: _encode(ws, tmp, "{"), 2, "schema.json"),
     "encode-list-schema": (lambda ws, tmp: _encode(ws, tmp, "[]"), 2, "schema.json"),
     "train-non-numeric-cell": (

@@ -7,6 +7,8 @@ import pytest
 from exqual.encoding import FeatureDescriptor, FeatureMatrix, MatrixStats
 from exqual.errors import EmptyBackground, InvalidSpec, WidthMismatch
 from exqual.explain import (
+    _EXACT_ROW_BUDGET,
+    _PERMUTATION_ROW_BUDGET,
     Attribution,
     Explanation,
     ExplanationSet,
@@ -23,7 +25,13 @@ from exqual.explain import (
     sample_neighborhood,
     write_explanation_set,
 )
-from exqual.model import GBTConfig, LinearModel, predict_proba_rows, train_gbt
+from exqual.model import (
+    GBTConfig,
+    LinearModel,
+    predict_proba_rows,
+    routing_differs,
+    train_gbt,
+)
 
 
 def matrix_from(rows, labels):
@@ -157,6 +165,125 @@ def test_sampled_shapley_efficiency_within_mc_tolerance_and_deterministic():
     # background rows: allow 3 standard errors
     tol = 3.0 * float(preds_bg.std()) / math.sqrt(cfg.n_permutations)
     assert abs(exp.weight_vector().sum() - target) <= tol
+
+
+def reference_exact_shapley(predict, row, background):
+    """Exact Shapley that predicts all 2^d x n_bg composites."""
+    d = row.shape[0]
+    n_masks = 1 << d
+    n_bg = background.shape[0]
+    v = np.empty(n_masks)
+    chunk = max(1, _EXACT_ROW_BUDGET // n_bg)
+    masks = np.arange(n_masks, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(d)[None, :]) & 1  # (n_masks, d)
+    for start in range(0, n_masks, chunk):
+        block = bits[start:start + chunk].astype(bool)  # (b, d)
+        composite = np.where(block[:, None, :], row[None, None, :], background[None, :, :])
+        preds = predict(composite.reshape(-1, d)).reshape(block.shape[0], n_bg)
+        v[start:start + chunk] = preds.mean(axis=1)
+
+    counts = bits.sum(axis=1)
+    fact = [math.factorial(s) for s in range(d + 1)]
+    coeff = np.array([fact[s] * fact[d - 1 - s] / fact[d] for s in range(d)])
+    phi = np.zeros(d)
+    for i in range(d):
+        without = masks[(masks >> i) & 1 == 0]
+        gains = v[without | (1 << i)] - v[without]
+        phi[i] = float(np.sum(coeff[counts[without]] * gains))
+    return phi
+
+
+def reference_sampled_shapley(predict, row, background, n_permutations, rng):
+    """Permutation-sampled Shapley that predicts all d + 1 steps of every walk."""
+    d = row.shape[0]
+    n_bg = background.shape[0]
+    phi = np.zeros(d)
+    batch = max(1, _PERMUTATION_ROW_BUDGET // (d + 1))
+    done = 0
+    while done < n_permutations:
+        b = min(batch, n_permutations - done)
+        composites = np.empty((b, d + 1, d))
+        perms = np.empty((b, d), dtype=np.int64)
+        for p in range(b):
+            perm = rng.permutation(d)
+            perms[p] = perm
+            base = background[rng.integers(0, n_bg)]
+            position = np.empty(d, dtype=np.int64)
+            position[perm] = np.arange(d)
+            take = position[None, :] < np.arange(d + 1)[:, None]
+            composites[p] = np.where(take, row[None, :], base[None, :])
+        preds = predict(composites.reshape(-1, d)).reshape(b, d + 1)
+        gains = np.diff(preds, axis=1)
+        for p in range(b):
+            phi[perms[p]] += gains[p]
+        done += b
+    return phi / n_permutations
+
+
+def gbt_with_missing(d, seed):
+    """A 30-tree GBT over d columns with missing cells, the rows it was
+    trained on, and a 16-row background; both sides of default_left occur."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(300, d))
+    rows[rng.random(size=rows.shape) < 0.15] = np.nan
+    filled = np.nan_to_num(rows)
+    y = (filled[:, 0] - filled[:, 1] + 0.5 * filled[:, 2] * filled[:, 3]
+         + np.isnan(rows[:, 4]) > 0).astype(int)
+    model = train_gbt(matrix_from(rows, y), GBTConfig(n_trees=30, max_depth=3, min_leaf=5))
+    return model, rows, rows[:16]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_shapley_bit_identical_to_full_enumeration(seed):
+    d = 13
+    model, rows, bg = gbt_with_missing(d, seed)
+    row = rows[100 + seed]
+    assert np.isnan(row).any() and np.isnan(bg).any()
+    differs = routing_differs(model, row, bg)
+    assert differs.sum(axis=1).max() < d  # some composites are skipped
+    predict = lambda block: predict_proba_rows(model, block)
+    exp = explain_shapley(model, row, ShapleyConfig(background=bg), seed=seed)
+    assert np.array_equal(exp.weight_vector(), reference_exact_shapley(predict, row, bg))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_shapley_bit_identical_to_full_walks(seed):
+    d = 19
+    model, rows, bg = gbt_with_missing(d, 10 + seed)
+    row = rows[200 + seed]
+    assert np.isnan(row).any() and np.isnan(bg).any()
+    assert routing_differs(model, row, bg).sum(axis=1).max() < d
+    predict = lambda block: predict_proba_rows(model, block)
+    cfg = ShapleyConfig(background=bg, n_permutations=300)
+    exp = explain_shapley(model, row, cfg, seed=seed)
+    expected = reference_sampled_shapley(predict, row, bg, cfg.n_permutations,
+                                         np.random.default_rng(seed))
+    assert np.array_equal(exp.weight_vector(), expected)
+
+
+def test_routing_differs_all_true_without_trees():
+    rng = np.random.default_rng(2)
+    row, bg = rng.normal(size=5), rng.normal(size=(3, 5))
+    linear = LinearModel(weights=np.zeros(5), intercept=0.0)
+    for model in (linear, lambda block: block.sum(axis=1)):
+        differs = routing_differs(model, row, bg)
+        assert differs.shape == (3, 5) and differs.all()
+
+
+def test_exact_shapley_keeps_row_budget_for_opaque_model():
+    d = 15
+    rng = np.random.default_rng(5)
+    row, bg = rng.normal(size=d), rng.normal(size=(16, d))
+    calls = []
+
+    def predict(block):
+        calls.append(block.shape[0])
+        return np.tanh(block[:, 0] * block[:, 1]) + block[:, 2:].sum(axis=1)
+
+    exp = explain_shapley(predict, row, ShapleyConfig(background=bg))
+    assert sum(calls) == 16 << d  # no routing is known: every composite
+    assert max(calls) <= _EXACT_ROW_BUDGET
+    assert np.array_equal(exp.weight_vector(), reference_exact_shapley(predict, row, bg))
 
 
 def test_shapley_input_validation():

@@ -1,6 +1,7 @@
 """Property-based checks of the input boundary: any JSON value in any config
 option, and any JSON document in any artifact file, either parses or raises
-an ExqualError (which the CLI turns into exit 1 or 2), never anything else."""
+an ExqualError (which the CLI turns into exit 1 or 2), never anything else.
+A bundle that parses also renders."""
 
 import copy
 import json
@@ -8,7 +9,7 @@ import json
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from exqual.encoding import (  # noqa: E402
@@ -150,3 +151,24 @@ def test_reader_parses_or_raises(artifacts, name, data):
         reader(str(path))
     except ExqualError:
         pass
+
+
+@settings(FUZZ, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_accepted_bundle_renders_or_raises(artifacts, tmp_path, data):
+    doc = copy.deepcopy(artifacts["bundle"][2])
+    if data.draw(st.booleans(), label="manifest only"):  # what only rendering reads
+        doc["manifest"] = _mutated(data, doc["manifest"])
+    else:
+        doc = _mutated(data, doc)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        bundle = read_bundle(str(path))
+    except ExqualError:
+        return
+    for format in ("markdown", "csv"):
+        try:
+            emit_report(bundle, str(tmp_path / format), format)
+        except ExqualError:
+            pass
