@@ -44,7 +44,6 @@ from .explain import (
     write_explanation_set,
 )
 from .harness import (
-    MODEL_OPTIONS,
     ExperimentConfig,
     ExplainerSpec,
     _sc,
@@ -57,6 +56,7 @@ from .harness import (
 )
 from .metrics import build_perturbation_plan, fidelity, score_stability
 from .model import (
+    MODEL_OPTIONS,
     GBTConfig,
     descriptor_fingerprint,
     evaluate_accuracy,

@@ -63,7 +63,7 @@ from .explain import (
 )
 from .metrics import aggregate as aggregate_scores
 from .metrics import evaluate_instance
-from .model import GBTConfig, evaluate_accuracy, train_gbt
+from .model import MODEL_OPTIONS, GBTConfig, evaluate_accuracy, train_gbt
 from .synthetic import generate_synthetic_log
 
 
@@ -140,10 +140,6 @@ _EXPLAINER_OPTIONS = {
     SHAPLEY_ID: {"n_background": (int,), "exact_max_d": (int,),
                  "n_permutations": (int,), "reference_size": (int,)},
 }
-
-# GBTConfig options other than the seed, which comes from global_seed or --seed
-MODEL_OPTIONS = {"n_trees": (int,), "max_depth": (int,), "learning_rate": _NUMBER,
-                 "min_leaf": (int,), "subsample": _NUMBER}
 
 _DATASET_OPTIONS = {"name": (str, _NONE), "csv": (str, _NONE),
                     "schema": (str, _NONE), "gen_spec": (dict, _NONE)}

@@ -334,6 +334,13 @@ def _dangling_child(doc):
     tree["left"][node] = len(tree["feature"])
 
 
+def _as_linear(doc):
+    width = doc["n_features"]
+    doc.clear()
+    doc.update(format_version=1, kind="linear", intercept=0.0,
+               weights=[str(k + 1) for k in range(width)])
+
+
 def _encode(ws, tmp, text):
     (tmp / "schema.json").write_text(text, encoding="utf-8")
     return ["encode", "--log", str(ws / "data" / "log.csv"),
@@ -389,6 +396,26 @@ MALFORMED_INPUTS = {
     "explain-dangling-child": (_edited_model(_dangling_child), 2, "model.json"),
     "explain-short-tree-array": (
         _edited_model(lambda doc: doc["trees"][0]["value"].pop()), 2, "model.json"),
+    "explain-string-n-features": (
+        _edited_model(lambda doc: doc.update(n_features=str(doc["n_features"]))),
+        2, "model.json"),
+    "explain-fractional-n-features": (
+        _edited_model(lambda doc: doc.update(n_features=doc["n_features"] + 0.9)),
+        2, "model.json"),
+    "explain-bool-n-features": (_edited_model(lambda doc: doc.update(n_features=True)),
+                                2, "model.json"),
+    "explain-string-base-score": (
+        _edited_model(lambda doc: doc.update(base_score=str(doc["base_score"]))),
+        2, "model.json"),
+    "explain-int-fingerprint": (
+        _edited_model(lambda doc: doc.update(descriptors_fingerprint=7)), 2, "model.json"),
+    "explain-bool-learning-rate": (
+        _edited_model(lambda doc: doc["config"].update(learning_rate=True)),
+        2, "model.json"),
+    "explain-float-n-trees": (
+        _edited_model(lambda doc: doc["config"].update(n_trees=float(doc["config"]["n_trees"]))),
+        2, "model.json"),
+    "explain-string-linear-weights": (_edited_model(_as_linear), 2, "model.json"),
     "report-list-config": (_manifest_bundle([]), 2, "bundle.json"),
     "report-dataset-without-name": (_manifest_bundle({"datasets": [{}]}),
                                     2, "bundle.json"),

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +14,15 @@ from exqual.errors import (
     SingleClass,
     WidthMismatch,
 )
+from exqual import model as model_module
 from exqual.model import (
+    LEAF_REG,
+    MAX_LEAF_VALUE,
+    MAX_RAW_SCORE,
     GBTConfig,
     GBTModel,
     LinearModel,
+    Tree,
     descriptor_fingerprint,
     evaluate_accuracy,
     model_from_dict,
@@ -247,3 +254,267 @@ def test_model_serialization_round_trip(tmp_path):
 
     assert descriptor_fingerprint(m.descriptors) == descriptor_fingerprint(m.descriptors)
     assert model.descriptors_fingerprint == descriptor_fingerprint(m.descriptors)
+
+
+# ---------------------------------------------- reference: one tree at a time
+# The loops train_gbt and predict_raw replaced: sort every column at every
+# node, and sum one tree's predictions after another. The presorted builder
+# and the packed walk must reproduce them bit for bit.
+
+class _ReferenceBuilder:
+    def __init__(self, X, grad, hess, max_depth, min_leaf):
+        self.X, self.grad, self.hess = X, grad, hess
+        self.max_depth, self.min_leaf = max_depth, min_leaf
+        self.nodes = []  # [feature, threshold, left, right, default_left, value]
+
+    def _best_split(self, idx):
+        r = self.grad[idx]
+        n = len(idx)
+        parent = (r.sum() ** 2) / n
+        best = (1e-12, None)
+        for j in range(self.X.shape[1]):
+            col = self.X[idx, j]
+            miss = np.isnan(col)
+            n_m = int(miss.sum())
+            n_p = n - n_m
+            if n_p < 2:
+                continue
+            vals = col[~miss]
+            rp = r[~miss]
+            order = np.argsort(vals, kind="stable")
+            vs = vals[order]
+            cum = np.cumsum(rp[order])
+            cuts = np.nonzero(np.diff(vs) > 0)[0] + 1
+            if cuts.size == 0:
+                continue
+            s_m = float(r[miss].sum())
+            s_l = cum[cuts - 1]
+            s_r = cum[-1] - s_l
+            n_l = cuts.astype(np.float64)
+            n_r = n_p - n_l
+            thresholds = (vs[cuts - 1] + vs[cuts]) / 2.0
+            for default_left in (True, False) if n_m else (True,):
+                if default_left:
+                    score = (s_l + s_m) ** 2 / (n_l + n_m) + np.where(
+                        n_r > 0, s_r ** 2 / np.maximum(n_r, 1), 0.0)
+                    ok = ((n_l + n_m) >= self.min_leaf) & (n_r >= self.min_leaf)
+                else:
+                    score = s_l ** 2 / np.maximum(n_l, 1) + (s_r + s_m) ** 2 / (n_r + n_m)
+                    ok = (n_l >= self.min_leaf) & ((n_r + n_m) >= self.min_leaf)
+                score = np.where(ok, score, -np.inf)
+                k = int(np.argmax(score))
+                gain = float(score[k]) - parent
+                if gain > best[0]:
+                    best = (gain, (j, float(thresholds[k]), default_left))
+        return best[1]
+
+    def build(self, idx, depth=0) -> int:
+        node = len(self.nodes)
+        self.nodes.append([-1, 0.0, -1, -1, True, 0.0])
+        split = None
+        if depth < self.max_depth and len(idx) >= 2 * self.min_leaf:
+            split = self._best_split(idx)
+        if split is None:
+            raw = self.grad[idx].sum() / (self.hess[idx].sum() + LEAF_REG)
+            self.nodes[node][5] = float(np.clip(raw, -MAX_LEAF_VALUE, MAX_LEAF_VALUE))
+            return node
+        j, thr, default_left = split
+        col = self.X[idx, j]
+        with np.errstate(invalid="ignore"):
+            go_left = np.where(np.isnan(col), default_left, col < thr)
+        self.nodes[node][:2] = [j, thr]
+        self.nodes[node][4] = default_left
+        self.nodes[node][2] = self.build(idx[go_left], depth + 1)
+        self.nodes[node][3] = self.build(idx[~go_left], depth + 1)
+        return node
+
+    def tree(self, learning_rate) -> Tree:
+        f, t, left, right, dl, v = zip(*self.nodes)
+        return Tree(np.asarray(f, dtype=np.int32), np.asarray(t, dtype=np.float64),
+                    np.asarray(left, dtype=np.int32), np.asarray(right, dtype=np.int32),
+                    np.asarray(dl, dtype=bool),
+                    np.asarray(v, dtype=np.float64) * learning_rate)
+
+
+def _reference_train(matrix, config) -> GBTModel:
+    X, y = matrix.rows, matrix.labels.astype(np.float64)
+    n = X.shape[0]
+    pos = float(y.sum())
+    base = float(np.log(pos / (n - pos)))
+    raw = np.full(n, base)
+    rng = np.random.default_rng(config.seed)
+    n_sub = int(np.floor(config.subsample * n))
+    trees = []
+    for _ in range(config.n_trees):
+        p = 1.0 / (1.0 + np.exp(-np.clip(raw, -MAX_RAW_SCORE, MAX_RAW_SCORE)))
+        grad, hess = y - p, p * (1.0 - p)
+        if config.subsample < 1.0:
+            rows = np.sort(rng.choice(n, size=max(n_sub, 1), replace=False))
+        else:
+            rows = np.arange(n)
+        builder = _ReferenceBuilder(X, grad, hess, config.max_depth, config.min_leaf)
+        builder.build(rows)
+        trees.append(builder.tree(config.learning_rate))
+        raw = raw + trees[-1].predict(X)
+    return GBTModel(tuple(trees), base, X.shape[1],
+                    descriptor_fingerprint(matrix.descriptors), config)
+
+
+def _reference_predict_raw(model, rows, n_trees=None):
+    out = np.full(rows.shape[0], model.base_score)
+    for tree in model.trees if n_trees is None else model.trees[:n_trees]:
+        out = out + tree.predict(rows)
+    return out
+
+
+def _awkward_columns(n, seed):
+    """Columns that stress ties, missing values and degenerate splits."""
+    rng = np.random.default_rng(seed)
+    some_nan = rng.normal(size=n)
+    some_nan[rng.random(n) < 0.3] = np.nan
+    int_nan = rng.integers(0, 3, size=n).astype(np.float64)
+    int_nan[rng.random(n) < 0.2] = np.nan
+    one_present = np.full(n, np.nan)
+    one_present[n // 3] = 1.5
+    ties = rng.integers(0, 4, size=n).astype(np.float64)
+    return np.column_stack([
+        rng.normal(size=n),
+        ties,
+        rng.choice([-0.0, 0.0, 1.0], size=n),  # signed zeros compare equal
+        np.full(n, 3.0),  # constant
+        np.full(n, np.nan),  # all missing
+        one_present,
+        some_nan,
+        int_nan,
+        -some_nan,  # the same cuts as some_nan, its sums added in reverse
+        # some_nan's candidates again, its missing rows summed in sorted order
+        np.where(np.isnan(some_nan), 99.0, some_nan),
+        np.where(np.isnan(some_nan), -99.0, some_nan),
+        ties,  # a duplicate: the first column wins
+        # adjacent floats: the midpoint rounds down to the lower value, so
+        # that cut sends every present row right
+        rng.choice([1.0, np.nextafter(1.0, 2.0)], size=n),
+    ])
+
+
+def _awkward_matrix(n=150, seed=0, columns=None):
+    X = _awkward_columns(n, seed)
+    signal = np.nan_to_num(X[:, 0]) + X[:, 1] - 1.5 + np.where(np.isnan(X[:, 6]), 1.0, 0.0)
+    y = (signal + np.random.default_rng(seed + 1).normal(size=n) > 0).astype(int)
+    return matrix_from(X if columns is None else X[:, columns], y)
+
+
+def _queries(matrix, seed=9):
+    rng = np.random.default_rng(seed)
+    extra = _awkward_columns(40, seed)[:, :matrix.d] if matrix.d > 1 else rng.normal(size=(40, 1))
+    extra[rng.random(extra.shape) < 0.2] = np.nan
+    return np.vstack([matrix.rows, extra])
+
+
+def _assert_same_model(model, reference, rows):
+    """Same model file, and the same predictions on rows and on rows that
+    hold a split's threshold exactly."""
+    assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(reference))
+    at_threshold = []
+    for tree in model.trees:
+        for f, t in zip(tree.feature, tree.threshold):
+            if f >= 0:
+                at_threshold.append(rows[0].copy())
+                at_threshold[-1][f] = t
+    rows = np.vstack([rows, *at_threshold])
+    assert np.array_equal(predict_raw(model, rows), _reference_predict_raw(reference, rows))
+
+
+def _tied_matrix(columns):
+    """Balanced labels, so that the first tree's residuals are exactly ±0.5
+    and equal scores tie exactly. Column a's cuts 0|1 and 1|2 score alike,
+    b duplicates a, and c (missing where a is 1) scores alike with its
+    missing rows sent either way."""
+    y = np.repeat([1, 0, 1, 0, 1, 0], [5, 1, 2, 10, 5, 1])
+    a = np.repeat([0.0, 1.0, 2.0], [6, 12, 6])
+    named = {"a": a, "b": a, "c": np.where(a == 1.0, np.nan, a / 2.0)}
+    return matrix_from(np.column_stack([named[k] for k in columns]), y)
+
+
+@pytest.mark.parametrize("columns", ["abc", "cab"])
+@pytest.mark.parametrize("split_cells", [None, 24])
+def test_gbt_exact_ties_pick_the_first_candidate(columns, split_cells, monkeypatch):
+    """The first of equal candidates wins: column, then missing values sent
+    left, then the lowest cut; also when columns are scored in blocks."""
+    if split_cells is not None:
+        monkeypatch.setattr(model_module, "_SPLIT_CELLS", split_cells)
+    matrix = _tied_matrix(columns)
+    config = GBTConfig(n_trees=2, max_depth=2, min_leaf=1)
+    model = train_gbt(matrix, config)
+    root = model.trees[0]
+    assert (root.feature[0], root.threshold[0], root.default_left[0]) == (0, 0.5, True)
+    _assert_same_model(model, _reference_train(matrix, config), _queries(matrix))
+
+
+@pytest.mark.parametrize("config", [
+    GBTConfig(n_trees=12, max_depth=3, min_leaf=5),
+    GBTConfig(n_trees=12, max_depth=4, min_leaf=3, subsample=0.7, seed=5),
+    GBTConfig(n_trees=8, max_depth=3, min_leaf=1),
+    GBTConfig(n_trees=8, max_depth=2, min_leaf=7, learning_rate=0.5),
+])
+def test_gbt_bit_identical_to_reference_loop(config):
+    matrix = _awkward_matrix()
+    model = train_gbt(matrix, config)
+    _assert_same_model(model, _reference_train(matrix, config), _queries(matrix))
+
+
+@pytest.mark.parametrize("column", [0, 1, 2, 6, 12])
+def test_gbt_bit_identical_to_reference_loop_one_column(column):
+    matrix = _awkward_matrix(n=90, seed=2, columns=[column])
+    config = GBTConfig(n_trees=6, max_depth=3, min_leaf=2, subsample=0.8, seed=1)
+    model = train_gbt(matrix, config)
+    _assert_same_model(model, _reference_train(matrix, config), _queries(matrix))
+
+
+def test_gbt_bit_identical_to_reference_loop_across_column_blocks(monkeypatch):
+    """Columns scored in several numpy passes pick the same splits."""
+    matrix = _awkward_matrix(n=120, seed=4)
+    config = GBTConfig(n_trees=5, max_depth=3, min_leaf=2)
+    monkeypatch.setattr(model_module, "_SPLIT_CELLS", 3 * 120)
+    model = train_gbt(matrix, config)
+    _assert_same_model(model, _reference_train(matrix, config), _queries(matrix))
+
+
+def _leaf_tree(value):
+    return Tree(np.array([-1], dtype=np.int32), np.zeros(1), np.array([-1], dtype=np.int32),
+                np.array([-1], dtype=np.int32), np.array([True]), np.array([value]))
+
+
+def test_predict_raw_matches_tree_by_tree_sum_at_block_edges():
+    matrix = _awkward_matrix(seed=3)
+    trained = train_gbt(matrix, GBTConfig(n_trees=7, max_depth=3, min_leaf=2))
+    # a root-leaf tree between trees of different sizes
+    model = GBTModel(trained.trees[:3] + (_leaf_tree(0.125),) + trained.trees[3:],
+                     trained.base_score, trained.n_features, "x")
+    queries = _queries(matrix)
+    pool = np.tile(queries, (model_module._WALK_CELLS // len(queries) + 1, 1))
+    for n_trees in range(len(model.trees) + 1):
+        block = model_module._WALK_CELLS // max(n_trees, 1)
+        for n in (0, 1, block - 1, block, block + 1):
+            rows = pool[:n]
+            assert np.array_equal(predict_raw(model, rows, n_trees=n_trees),
+                                  _reference_predict_raw(model, rows, n_trees))
+    empty = GBTModel(trees=(), base_score=-0.25, n_features=matrix.d, descriptors_fingerprint="x")
+    for n in (0, 1, model_module._WALK_CELLS + 1):
+        assert np.array_equal(predict_raw(empty, pool[:n]), np.full(n, -0.25))
+
+
+def test_predict_raw_memory_does_not_grow_with_call_size():
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(400, 6))
+    X[rng.random(X.shape) < 0.1] = np.nan
+    y = (np.nan_to_num(X[:, 0]) + rng.normal(size=400) > 0).astype(int)
+    model = train_gbt(matrix_from(X, y), GBTConfig(n_trees=60, max_depth=3, min_leaf=5))
+    rows = rng.normal(size=(65536, 6))
+    tracemalloc.start()
+    try:
+        predict_raw(model, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # the 0.5 MiB result and one block's scratch
