@@ -69,10 +69,9 @@ from .synthetic import generate_synthetic_log
 
 def _model_matrix(model, basepath: str):
     """The matrix at basepath, once its columns are the ones model was
-    trained on (GBT models record a fingerprint of them)."""
+    trained on (the model records a fingerprint of them)."""
     matrix = read_matrix(basepath)
-    expected = getattr(model, "descriptors_fingerprint", None)
-    if expected is not None and expected != descriptor_fingerprint(matrix.descriptors):
+    if model.descriptors_fingerprint != descriptor_fingerprint(matrix.descriptors):
         raise DataError(f"matrix {basepath} has other columns than the model "
                         f"was trained on (descriptor fingerprints differ)")
     return matrix

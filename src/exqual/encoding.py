@@ -336,10 +336,6 @@ class ObservedDomain:
     is_integer_valued: bool
     values: tuple[float, ...] | None  # value set for integer-valued columns
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def feature_domain(matrix: FeatureMatrix, column_index: int) -> ObservedDomain:
     """Observed value range of one column, missing cells excluded.
@@ -431,6 +427,14 @@ def _cell(value: float) -> str:
     return "" if math.isnan(value) else repr(float(value))
 
 
+def _read_cell(text: str) -> float:
+    """The value _cell wrote: blank for missing, else a finite number."""
+    value = float(text) if text else np.nan
+    if text and not math.isfinite(value):
+        raise ValueError(f"non-finite cell {text!r}")
+    return value
+
+
 def write_matrix(matrix: FeatureMatrix, basepath: str) -> tuple[str, str]:
     """Write <basepath>.csv (values) and <basepath>.json (provenance)."""
     csv_path, json_path = basepath + ".csv", basepath + ".json"
@@ -466,7 +470,7 @@ def read_matrix(basepath: str) -> FeatureMatrix:
             values = []
             for line, row in enumerate(reader, start=2):
                 try:
-                    values.append([float(c) if c != "" else np.nan for c in row[3:]])
+                    values.append([_read_cell(c) for c in row[3:]])
                 except ValueError as exc:
                     raise ValueError(f"{csv_path} line {line}: {exc}") from None
         rows = np.asarray(values, dtype=np.float64)

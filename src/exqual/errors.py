@@ -6,6 +6,7 @@ DataError subclasses map to CLI exit code 2; UsageError maps to exit code 1.
 """
 
 import json
+import math
 
 
 class ExqualError(Exception):
@@ -85,13 +86,6 @@ class EmptyMatrix(DataError):
     pass
 
 
-class NonConvergence(ExqualError):
-    def __init__(self, iterations, grad_norm):
-        super().__init__(f"no convergence after {iterations} iterations (grad norm {grad_norm:.3e})")
-        self.iterations = iterations
-        self.grad_norm = grad_norm
-
-
 # explainers
 class EmptyBackground(DataError):
     pass
@@ -116,19 +110,37 @@ class EmptySamplingDomain(ExqualError):
 
 # ----------------------------------------------------------- input boundary
 
+# JSON value types for check_options tables: a number is an int or a float
+# (never a bool), and null is None
+NUMBER = (int, float)
+NULL = type(None)
+
+
+def _finite_number(text: str) -> float:
+    """A JSON float literal, or one of the tokens NaN, Infinity and -Infinity
+    that json accepts, as a float once it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} is not allowed")
+    return value
+
+
 def read_json(path: str, what: str, parse=dict):
     """parse(doc) for the JSON object stored at path.
 
-    A missing file is a UsageError. Invalid JSON, a top level that is not an
-    object, and a malformed document (parse raising InvalidSpec, or the
-    lookup, attribute, type, value or arithmetic error that a value of the
-    wrong shape raises) are an InvalidSpec naming the file."""
+    A missing file is a UsageError. Invalid JSON, non-finite numbers
+    included (the tokens NaN and Infinity, or a literal such as 1e999), a
+    top level that is not an object, and a malformed document (parse
+    raising InvalidSpec, or the lookup, attribute, type, value or arithmetic
+    error that a value of the wrong shape raises) are an InvalidSpec naming
+    the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_number,
+                            parse_constant=_finite_number)
     except FileNotFoundError:
         raise UsageError(f"{what} not found: {path}") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, non-finite
         raise InvalidSpec(f"{what} {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidSpec(f"{what} {path} must hold a JSON object, "
@@ -144,10 +156,15 @@ def read_json(path: str, what: str, parse=dict):
 
 
 def write_json(path: str, doc) -> None:
-    """Write doc as sorted, 2-space-indented JSON with a final newline."""
+    """Write doc as sorted, 2-space-indented JSON with a final newline. A
+    non-finite number has no JSON form: a doc holding one is a DataError,
+    and nothing is written."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def check_options(doc, types: dict, what: str) -> dict:

@@ -9,7 +9,7 @@ and a binary outcome label (True = deviant).
 from __future__ import annotations
 
 import csv
-import io
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -160,14 +160,18 @@ class PrefixLog:
 
 
 def _parse_value(raw: str, dtype: str, row_no: int, column: str):
-    """Empty cells are explicit missing markers (None)."""
+    """Empty cells are explicit missing markers (None); a numeric cell holds
+    a finite number."""
     if raw == "":
         return None
     if dtype == NUMERIC:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise TypeMismatch(row_no, column, raw) from None
+        if not math.isfinite(value):
+            raise TypeMismatch(row_no, column, raw)
+        return value
     return raw
 
 
@@ -257,17 +261,12 @@ def parse_log(csv_source, schema: LogSchema) -> EventLog:
     return EventLog(schema=schema, traces=tuple(traces))
 
 
-def write_log(log: EventLog, destination, negative_label: str = "regular") -> None:
-    """Serialize an EventLog back to CSV (one row per event).
+def write_log(log: EventLog, path: str) -> None:
+    """Write an EventLog as CSV (one row per event) to path.
 
-    parse_log(write_log(log)) reconstructs an equal log; the original
-    negative label string is not retained, so a stand-in is written.
+    parse_log reads back an equal log; the original negative label string
+    is not retained, so "regular" stands in for it.
     """
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            write_log(log, fh, negative_label)
-            return
-
     schema = log.schema
     statics = schema.static_attrs
     dynamics = schema.dynamic_attrs
@@ -282,22 +281,17 @@ def write_log(log: EventLog, destination, negative_label: str = "regular") -> No
             return repr(value)
         return str(value)
 
-    writer = csv.writer(destination, lineterminator="\n")
-    writer.writerow(header)
-    for trace in log.traces:
-        label = schema.positive_label if trace.label else negative_label
-        for ev in trace.events:
-            row = [trace.case_id, ev.activity, ev.timestamp.isoformat()]
-            row += [fmt(trace.static_attrs.get(a.name)) for a in statics]
-            row += [fmt(ev.dynamic_attrs.get(a.name)) for a in dynamics]
-            row.append(label)
-            writer.writerow(row)
-
-
-def log_to_csv_text(log: EventLog, negative_label: str = "regular") -> str:
-    buf = io.StringIO()
-    write_log(log, buf, negative_label)
-    return buf.getvalue()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for trace in log.traces:
+            label = schema.positive_label if trace.label else "regular"
+            for ev in trace.events:
+                row = [trace.case_id, ev.activity, ev.timestamp.isoformat()]
+                row += [fmt(trace.static_attrs.get(a.name)) for a in statics]
+                row += [fmt(ev.dynamic_attrs.get(a.name)) for a in dynamics]
+                row.append(label)
+                writer.writerow(row)
 
 
 def extract_prefixes(log: EventLog, min_len: int, max_len: int) -> PrefixLog:

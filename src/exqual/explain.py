@@ -8,8 +8,8 @@ Two built-in explainers over any predict function:
 * a Shapley-value explainer: exact coalition enumeration for narrow
   matrices, permutation sampling otherwise.
 
-`model` may be a trained model from the model module or any callable
-mapping an (n, d) block of rows to n prediction probabilities.
+`model` may be a trained `GBTModel` or any callable mapping an (n, d)
+block of rows to n prediction probabilities.
 
 The Shapley explainer predicts only composite rows that can differ. A
 composite takes some features from the instance and the rest from one
@@ -19,9 +19,8 @@ tree model each distinct routing is predicted once: 2^|D_b| restricted
 composites per b in the exact regime, and only the walk steps that add a
 feature of D_b in the sampled one, where D_b is the set of features that
 route the instance and b apart (`model.routing_differs`). Every value is
-the one predicting all composites would give, bit for bit; for a linear
-model or an opaque callable D_b is every feature and all composites are
-predicted.
+the one predicting all composites would give, bit for bit; for an opaque
+callable D_b is every feature and all composites are predicted.
 """
 
 from __future__ import annotations
@@ -32,8 +31,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import MatrixStats
-from .errors import EmptyBackground, InvalidSpec, WidthMismatch, read_json, write_json
-from .model import predict_proba_rows, routing_differs
+from .errors import (
+    NULL,
+    NUMBER,
+    EmptyBackground,
+    InvalidSpec,
+    WidthMismatch,
+    check_options,
+    read_json,
+    write_json,
+)
+from .model import GBTModel, predict_proba_rows, routing_differs
 
 SURROGATE_ID = "surrogate"
 SHAPLEY_ID = "shapley"
@@ -43,10 +51,23 @@ _EXACT_ROW_BUDGET = 262144  # composite rows per predict call in exact mode
 _PERMUTATION_ROW_BUDGET = 8192  # composite rows per predict call in sampled mode
 
 
+# explanation-set file: object -> accepted JSON value types, checked exactly
+# by check_options
+_SET_FILE = {"format_version": (int,), "case_id": (str, NULL),
+             "prefix_length": (int, NULL), "explainer_id": (str,),
+             "n_features": (int,), "explanations": (list,),
+             "explainer_spec": (dict, NULL), "assets_seed": (int, NULL)}
+_EXPLANATION_FILE = {"attributions": (list,), "selected_k": (int,),
+                     "seed_used": (int,), "degenerate": (bool,)}
+_ATTRIBUTION_FILE = {"column_index": (int,), "weight": NUMBER,
+                     "interval": (dict, NULL)}
+_INTERVAL_FILE = {"lo": NUMBER, "hi": NUMBER}
+
+
 def _as_predict_fn(model):
-    if callable(model) and not hasattr(model, "trees") and not hasattr(model, "weights"):
-        return model
-    return lambda rows: predict_proba_rows(model, rows)
+    if isinstance(model, GBTModel):
+        return lambda rows: predict_proba_rows(model, rows)
+    return model
 
 
 @dataclass(frozen=True)
@@ -65,9 +86,12 @@ class Attribution:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Attribution":
+        check_options(doc, _ATTRIBUTION_FILE, "attribution")
         iv = doc.get("interval")
+        if iv is not None:
+            check_options(iv, _INTERVAL_FILE, "interval")
         return cls(
-            column_index=int(doc["column_index"]),
+            column_index=doc["column_index"],
             weight=float(doc["weight"]),
             interval=None if iv is None else (float(iv["lo"]), float(iv["hi"])),
         )
@@ -80,10 +104,11 @@ class Explanation:
     explainer_id: str
     seed_used: int
     n_features: int
-    case_ref: tuple[str, int] | None = None
     degenerate: bool = False
 
     def __post_init__(self):
+        if self.n_features < 1:
+            raise InvalidSpec(f"an explanation needs n_features >= 1, got {self.n_features}")
         cols = [a.column_index for a in self.attributions]
         if len(set(cols)) != len(cols):
             raise InvalidSpec("duplicate column indices in attribution list")
@@ -154,7 +179,7 @@ class SurrogateConfig:
             raise InvalidSpec(f"n_samples must be >= 100, got {self.n_samples}")
         if self.k < 1:
             raise InvalidSpec(f"k must be >= 1, got {self.k}")
-        if self.kernel_width is not None and self.kernel_width <= 0:
+        if self.kernel_width is not None and not self.kernel_width > 0:
             raise InvalidSpec("kernel_width must be positive")
 
     def resolved_kernel_width(self, d: int) -> float:
@@ -416,8 +441,8 @@ def explain_shapley(model, row: np.ndarray, config: ShapleyConfig,
 
     Only composites that can differ are predicted. For background row b,
     D_b is the set of features with a split that sends the instance and b
-    to different sides (`model.routing_differs`; every feature for a model
-    that is not a tree ensemble). Taking a feature outside D_b from the
+    to different sides (`model.routing_differs`; every feature for an
+    opaque callable). Taking a feature outside D_b from the
     instance instead of b reaches the same leaves, so the same prediction.
     The exact regime therefore predicts each composite of b restricted to
     D_b once (2^|D_b| per b, not 2^d) and gathers v(S) from them; the
@@ -478,28 +503,30 @@ def explanation_set_to_dict(es: ExplanationSet) -> dict:
     }
 
 
-def explanation_set_from_dict(doc: dict) -> ExplanationSet:
-    case_id = doc.get("case_id")
-    case_ref = None if case_id is None else (case_id, int(doc["prefix_length"]))
-    explainer_id = doc["explainer_id"]
-    d = int(doc["n_features"])
-    explanations = tuple(
-        Explanation(
-            attributions=tuple(Attribution.from_dict(a) for a in e["attributions"]),
-            selected_k=int(e["selected_k"]),
-            explainer_id=explainer_id,
-            seed_used=int(e["seed_used"]),
-            n_features=d,
-            case_ref=case_ref,
-            degenerate=bool(e.get("degenerate", False)),
-        )
-        for e in doc["explanations"]
+def _explanation_from_dict(doc: dict, explainer_id: str, d: int) -> Explanation:
+    check_options(doc, _EXPLANATION_FILE, "explanation")
+    return Explanation(
+        attributions=tuple(Attribution.from_dict(a) for a in doc["attributions"]),
+        selected_k=doc["selected_k"],
+        explainer_id=explainer_id,
+        seed_used=doc["seed_used"],
+        n_features=d,
+        degenerate=doc.get("degenerate", False),
     )
-    seed = doc.get("assets_seed")
-    assets_seed = None if seed is None else int(seed)
+
+
+def explanation_set_from_dict(doc: dict) -> ExplanationSet:
+    """The set stored in doc, once every field has its exact JSON type."""
+    check_options(doc, _SET_FILE, "explanation set")
+    case_id, prefix_length = doc.get("case_id"), doc.get("prefix_length")
+    if case_id is not None and prefix_length is None:
+        raise InvalidSpec("an explanation set with a case_id needs a prefix_length")
+    case_ref = None if case_id is None else (case_id, prefix_length)
+    explanations = tuple(_explanation_from_dict(e, doc["explainer_id"], doc["n_features"])
+                         for e in doc["explanations"])
     return ExplanationSet(explanations=explanations, case_ref=case_ref,
                           explainer_spec=doc.get("explainer_spec"),
-                          assets_seed=assets_seed)
+                          assets_seed=doc.get("assets_seed"))
 
 
 def write_explanation_set(es: ExplanationSet, path: str) -> None:

@@ -36,6 +36,8 @@ from .encoding import (
     encode,
 )
 from .errors import (
+    NULL,
+    NUMBER,
     DataError,
     InvalidSpec,
     UsageError,
@@ -131,26 +133,23 @@ class ComboSpec:
 
 
 # option name -> accepted JSON value types, checked exactly by check_options
-_NONE = type(None)
-_NUMBER = (int, float)
-
 _EXPLAINER_OPTIONS = {
-    SURROGATE_ID: {"n_samples": (int,), "kernel_width": (*_NUMBER, _NONE),
+    SURROGATE_ID: {"n_samples": (int,), "kernel_width": (*NUMBER, NULL),
                    "k": (int,), "discretize_numeric": (bool,)},
     SHAPLEY_ID: {"n_background": (int,), "exact_max_d": (int,),
                  "n_permutations": (int,), "reference_size": (int,)},
 }
 
-_DATASET_OPTIONS = {"name": (str, _NONE), "csv": (str, _NONE),
-                    "schema": (str, _NONE), "gen_spec": (dict, _NONE)}
+_DATASET_OPTIONS = {"name": (str, NULL), "csv": (str, NULL),
+                    "schema": (str, NULL), "gen_spec": (dict, NULL)}
 
 _CONFIG_OPTIONS = {
-    "datasets": (list, _NONE), "dataset": (dict, _NONE), "combos": (list,),
+    "datasets": (list, NULL), "dataset": (dict, NULL), "combos": (list,),
     "explainers": (list,), "min_prefix_length": (int,),
     "max_prefix_length": (int,), "train_fraction": (float,),
     "downsample": (bool,), "m": (int,), "top_k": (int,),
     "n_perturbations": (int,), "sample_size": (int,), "global_seed": (int,),
-    "model": (dict,), "out_dir": (str, _NONE),
+    "model": (dict,), "out_dir": (str, NULL),
 }
 
 
@@ -330,7 +329,7 @@ class AggregateRecord:
 
 
 # bundle record field annotation -> accepted JSON value types
-_FIELD_TYPES = {"str": (str,), "int": (int,), "float": _NUMBER, "tuple[str, ...]": (list,)}
+_FIELD_TYPES = {"str": (str,), "int": (int,), "float": NUMBER, "tuple[str, ...]": (list,)}
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ def score_stability(es: ExplanationSet, k: int = 10) -> StabilityScore:
     """Both stability variants for one instance's repeated explanations."""
     subset = build_subset_matrix(es, k)
     weight = build_weight_matrix(es)
-    terms, guarded = _weight_terms(weight)
+    _, guarded = _weight_terms(weight)
     flags = []
     if guarded:
         flags.append(FLAG_EPSILON_GUARD)
@@ -167,7 +167,7 @@ def score_stability(es: ExplanationSet, k: int = 10) -> StabilityScore:
     return StabilityScore(
         case_ref=es.case_ref,
         by_subset=stability_by_subset(subset),
-        by_weight=1.0 - float(terms.mean()),
+        by_weight=stability_by_weight(weight),
         flags=tuple(flags),
     )
 

@@ -1,12 +1,9 @@
-"""Binary outcome classifiers over feature matrices.
+"""The binary outcome classifier over feature matrices: a from-scratch
+gradient-boosted tree ensemble, the black box under explanation, with
+native missing-value routing and logistic loss.
 
-Two models: a from-scratch gradient-boosted tree ensemble (the black box
-under explanation — native missing-value routing, logistic loss) and an
-L2-regularized logistic linear model used as a white-box oracle when
-validating explainers.
-
-The ensemble's two hot loops avoid per-column and per-tree numpy calls
-without changing a single bit of a tree or a prediction:
+Its two hot loops avoid per-column and per-tree numpy calls without
+changing a single bit of a tree or a prediction:
 
 - Training sorts every column once per model (`train_gbt`) and scores all
   columns of a node in one pass over its presorted segments
@@ -26,10 +23,10 @@ import numpy as np
 
 from .encoding import FeatureDescriptor, FeatureMatrix
 from .errors import (
+    NUMBER,
     DegenerateMatrix,
     EmptyMatrix,
     InvalidSpec,
-    NonConvergence,
     SingleClass,
     WidthMismatch,
     check_options,
@@ -46,14 +43,11 @@ _WALK_CELLS = 16384  # rows x trees walked per block by predict_raw
 # option name -> accepted JSON value types, checked exactly by check_options.
 # GBTConfig options other than the seed, which an experiment config or the
 # CLI's --seed supplies; a model file records the seed too.
-_NUMBER = (int, float)
-MODEL_OPTIONS = {"n_trees": (int,), "max_depth": (int,), "learning_rate": _NUMBER,
-                 "min_leaf": (int,), "subsample": _NUMBER}
-_GBT_FILE = {"format_version": (int,), "kind": (str,), "base_score": _NUMBER,
+MODEL_OPTIONS = {"n_trees": (int,), "max_depth": (int,), "learning_rate": NUMBER,
+                 "min_leaf": (int,), "subsample": NUMBER}
+_GBT_FILE = {"format_version": (int,), "kind": (str,), "base_score": NUMBER,
              "n_features": (int,), "descriptors_fingerprint": (str,),
              "config": (dict,), "trees": (list,)}
-_LINEAR_FILE = {"format_version": (int,), "kind": (str,), "weights": (list,),
-                "intercept": _NUMBER}
 
 
 def _sigmoid(z):
@@ -91,11 +85,11 @@ class GBTConfig:
 # Tree array -> (dtype, accepted JSON element types, matched exactly)
 _TREE_ARRAYS = {
     "feature": (np.int32, (int,)),
-    "threshold": (np.float64, _NUMBER),
+    "threshold": (np.float64, NUMBER),
     "left": (np.int32, (int,)),
     "right": (np.int32, (int,)),
     "default_left": (bool, (bool,)),
-    "value": (np.float64, _NUMBER),
+    "value": (np.float64, NUMBER),
 }
 
 
@@ -226,24 +220,6 @@ class GBTModel:
 
     def __post_init__(self):
         object.__setattr__(self, "packed", _PackedTrees.of(self.trees))
-
-    @property
-    def d(self) -> int:
-        return self.n_features
-
-
-@dataclass(frozen=True)
-class LinearModel:
-    weights: np.ndarray
-    intercept: float
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.weights)) and np.isfinite(self.intercept)):
-            raise InvalidSpec("linear model parameters must be finite")
-
-    @property
-    def d(self) -> int:
-        return len(self.weights)
 
 
 def _column_blocks(n_cols: int, n: int) -> list[slice]:
@@ -501,14 +477,8 @@ def predict_raw(model: GBTModel, rows: np.ndarray, n_trees: int | None = None) -
     return out
 
 
-def predict_proba_rows(model, rows: np.ndarray) -> np.ndarray:
-    """Vectorized predict_proba over a 2-D block of rows."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if isinstance(model, LinearModel):
-        if rows.shape[1] != model.d:
-            raise WidthMismatch(model.d, rows.shape[1])
-        filled = np.where(np.isnan(rows), 0.0, rows)
-        return _sigmoid(filled @ model.weights + model.intercept)
+def predict_proba_rows(model: GBTModel, rows: np.ndarray) -> np.ndarray:
+    """Probability of the positive class for each row of a 2-D block, in (0, 1)."""
     return _sigmoid(predict_raw(model, rows))
 
 
@@ -517,8 +487,8 @@ def routing_differs(model, row: np.ndarray, rows: np.ndarray) -> np.ndarray:
     tree and reached or not, sends row and rows[i] to different sides
     (missing values follow default_left). Where it is False, swapping
     rows[i, j] for row[j] in any composite changes no leaf, so no
-    prediction. For a model other than a GBTModel, or any callable, every
-    entry is True."""
+    prediction. For a callable other than a GBTModel, whose routing is
+    unknown, every entry is True."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     row = np.asarray(row, dtype=np.float64)
     d = row.shape[0]
@@ -542,88 +512,16 @@ def routing_differs(model, row: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (split_differs.astype(np.int64) @ on_feature) > 0
 
 
-def predict_proba(model, row: np.ndarray) -> float:
-    """Probability of the positive class for one feature vector, in (0, 1)."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1:
-        raise InvalidSpec("predict_proba takes one row; use predict_proba_rows for blocks")
-    return float(predict_proba_rows(model, row[None, :])[0])
-
-
-def evaluate_accuracy(model, matrix: FeatureMatrix, threshold: float = 0.5) -> float:
+def evaluate_accuracy(model: GBTModel, matrix: FeatureMatrix) -> float:
+    """Share of rows whose label the model predicts (positive at p >= 0.5)."""
     if matrix.n == 0:
         raise EmptyMatrix("cannot score an empty matrix")
     p = predict_proba_rows(model, matrix.rows)
-    predicted = (p >= threshold).astype(np.int8)
+    predicted = (p >= 0.5).astype(np.int8)
     return float((predicted == matrix.labels).mean())
 
 
-def train_logistic(matrix: FeatureMatrix, l2: float = 1e-6, seed: int = 0,
-                   tol: float = 1e-8, max_iter: int = 200_000) -> LinearModel:
-    """L2-regularized logistic regression (intercept unpenalized), fit with
-    deterministic accelerated batch proximal gradient descent until the
-    mean-loss gradient's infinity norm drops below tol.
-
-    Missing cells are mean-imputed per column for this model only. The seed
-    is accepted for interface uniformity; the zero-initialized batch fit
-    does not consume randomness.
-    """
-    del seed
-    X, y = matrix.rows, matrix.labels.astype(np.float64)
-    n, d = X.shape
-    if l2 < 0.0:
-        raise InvalidSpec(f"l2 must be non-negative, got {l2}")
-    pos = float(y.sum())
-    if pos == 0.0 or pos == n:
-        raise SingleClass("training labels are all one class")
-
-    col_mean = np.zeros(d)
-    for j in range(d):
-        col = X[:, j]
-        present = col[~np.isnan(col)]
-        if present.size:
-            col_mean[j] = float(present.mean())
-    Xf = np.where(np.isnan(X), col_mean, X)
-
-    aug = np.hstack([Xf, np.ones((n, 1))])
-    lam = float(np.linalg.eigvalsh(aug.T @ aug / n)[-1])
-    step = 1.0 / (0.25 * lam)  # Lipschitz bound of the smooth (data) term
-
-    def smooth_grad(wb):
-        p = _sigmoid(aug @ wb)
-        return aug.T @ (p - y) / n
-
-    # Accelerated proximal gradient: the L2 penalty is applied exactly via
-    # its closed-form shrinkage step (intercept left unshrunk), so the step
-    # size is independent of l2. Momentum restarts on overshoot.
-    shrink = np.full(d + 1, 1.0 + step * l2)
-    shrink[d] = 1.0
-    wb = np.zeros(d + 1)
-    prev = wb.copy()
-    momentum = 0
-    g_norm = np.inf
-    for t in range(1, max_iter + 1):
-        look = wb + (momentum / (momentum + 3)) * (wb - prev)
-        g = smooth_grad(look)
-        prev, wb = wb, (look - step * g) / shrink
-        momentum = 0 if float(g @ (wb - prev)) > 0.0 else momentum + 1
-        if t % 20 == 0 or t == max_iter:
-            full = smooth_grad(wb)
-            full[:d] += l2 * wb[:d]
-            g_norm = float(np.abs(full).max())
-            if g_norm < tol:
-                return LinearModel(weights=wb[:d].copy(), intercept=float(wb[d]))
-    raise NonConvergence(max_iter, g_norm)
-
-
-def model_to_dict(model) -> dict:
-    if isinstance(model, LinearModel):
-        return {
-            "format_version": 1,
-            "kind": "linear",
-            "weights": [float(w) for w in model.weights],
-            "intercept": float(model.intercept),
-        }
+def model_to_dict(model: GBTModel) -> dict:
     return {
         "format_version": 1,
         "kind": "gbt",
@@ -635,32 +533,27 @@ def model_to_dict(model) -> dict:
     }
 
 
-def model_from_dict(doc: dict):
+def model_from_dict(doc: dict) -> GBTModel:
     """The model stored in doc, once every field has its exact JSON type."""
     kind = doc.get("kind")
-    if kind == "linear":
-        check_options(doc, _LINEAR_FILE, "model")
-        return LinearModel(weights=_typed_array(doc["weights"], np.float64, _NUMBER,
-                                                "linear 'weights'"),
-                           intercept=float(doc["intercept"]))
-    if kind == "gbt":
-        check_options(doc, _GBT_FILE, "model")
-        config = check_options(doc["config"], {**MODEL_OPTIONS, "seed": (int,)},
-                               "model config")
-        n_features = doc["n_features"]
-        return GBTModel(
-            trees=tuple(Tree.from_dict(t, n_features) for t in doc["trees"]),
-            base_score=float(doc["base_score"]),
-            n_features=n_features,
-            descriptors_fingerprint=doc["descriptors_fingerprint"],
-            config=GBTConfig(**config),
-        )
-    raise InvalidSpec(f"unknown model kind {kind!r}")
+    if kind != "gbt":
+        raise InvalidSpec(f"unknown model kind {kind!r}")
+    check_options(doc, _GBT_FILE, "model")
+    config = check_options(doc["config"], {**MODEL_OPTIONS, "seed": (int,)},
+                           "model config")
+    n_features = doc["n_features"]
+    return GBTModel(
+        trees=tuple(Tree.from_dict(t, n_features) for t in doc["trees"]),
+        base_score=float(doc["base_score"]),
+        n_features=n_features,
+        descriptors_fingerprint=doc["descriptors_fingerprint"],
+        config=GBTConfig(**config),
+    )
 
 
-def write_model(model, path: str) -> None:
+def write_model(model: GBTModel, path: str) -> None:
     write_json(path, model_to_dict(model))
 
 
-def read_model(path: str):
+def read_model(path: str) -> GBTModel:
     return read_json(path, "model", model_from_dict)

@@ -26,7 +26,6 @@ from .eventlog import (
 )
 
 POSITIVE_LABEL = "deviant"
-NEGATIVE_LABEL = "regular"
 
 
 def _require(spec: dict, key: str):

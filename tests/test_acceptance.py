@@ -52,8 +52,10 @@ from exqual.metrics import (
     stability_by_subset,
     stability_by_weight,
 )
-from exqual.model import GBTConfig, LinearModel, predict_proba_rows, train_gbt
+from exqual.model import GBTConfig, predict_proba_rows, train_gbt
 from exqual.synthetic import generate_synthetic_log
+
+from linear_box import logistic_box
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -219,7 +221,7 @@ def test_criterion_03_shapley_efficiency_and_dummies():
 
 def test_criterion_04_surrogate_recovers_linear_model():
     true_w = np.array([0.30, -0.22, 0.15, -0.09, 0.04])
-    model = LinearModel(weights=true_w, intercept=0.0)
+    model = logistic_box(true_w)
     d = true_w.size
     rng = np.random.default_rng(17)
     train_rows = rng.normal(scale=0.3, size=(500, d))

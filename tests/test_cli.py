@@ -18,7 +18,14 @@ from exqual.encoding import (
     write_matrix,
 )
 from exqual.eventlog import LogSchema, extract_prefixes, split_train_test
-from exqual.explain import ExplanationSet, derive_seed, repeat_explanations
+from exqual.explain import (
+    Attribution,
+    Explanation,
+    ExplanationSet,
+    derive_seed,
+    explanation_set_to_dict,
+    repeat_explanations,
+)
 from exqual.harness import ExplainerSpec, _sc, build_explainer_assets
 from exqual.metrics import FLAG_INTERVAL_FALLBACK, evaluate_instance
 from exqual.model import GBTConfig, read_model, train_gbt, write_model
@@ -334,6 +341,11 @@ def _dangling_child(doc):
     tree["left"][node] = len(tree["feature"])
 
 
+def _infinite_threshold(doc):
+    tree, node = _first_split(doc)
+    tree["threshold"][node] = float("inf")
+
+
 def _as_linear(doc):
     width = doc["n_features"]
     doc.clear()
@@ -351,18 +363,45 @@ def _train(ws, tmp, basepath):
     return ["train", "--matrix", basepath, "--out", str(tmp / "model.json")]
 
 
-def _bad_cell(text):
-    lines = text.splitlines()
-    cells = lines[1].split(",")
-    cells[3] = "x"
-    return "\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n"
+def _bad_cell(value):
+    def edit(text):
+        lines = text.splitlines()
+        cells = lines[1].split(",")
+        cells[3] = value
+        return "\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n"
+    return edit
 
 
-def _eval_stability(ws, tmp):
+def _eval_stability(ws, tmp, name="listed.json", text="[]"):
     (tmp / "expl").mkdir()
-    (tmp / "expl" / "listed.json").write_text("[]", encoding="utf-8")
+    (tmp / "expl" / name).write_text(text, encoding="utf-8")
     return ["eval-stability", "--explanations", str(tmp / "expl"),
             "--out", str(tmp / "stab.csv")]
+
+
+def _edited_set(edit):
+    """eval-stability on one explanation set, as the writer lays it out
+    and then edited."""
+    def build(ws, tmp):
+        exps = tuple(Explanation(attributions=(Attribution(0, 0.5, (1.0, 2.0)),
+                                               Attribution(2, -0.25)),
+                                 selected_k=2, explainer_id="surrogate", seed_used=s,
+                                 n_features=4)
+                     for s in (1, 2))
+        doc = explanation_set_to_dict(ExplanationSet(exps, case_ref=("c1", 2)))
+        edit(doc)
+        return _eval_stability(ws, tmp, "set.json", json.dumps(doc))
+    return build
+
+
+def _negative_width(doc):
+    doc["n_features"] = -1
+    for explanation in doc["explanations"]:
+        explanation["attributions"] = []
+
+
+def _attribution(key, value):
+    return lambda doc: doc["explanations"][0]["attributions"][1].update({key: value})
 
 
 def _run(ws, tmp, **over):
@@ -415,14 +454,20 @@ MALFORMED_INPUTS = {
     "explain-float-n-trees": (
         _edited_model(lambda doc: doc["config"].update(n_trees=float(doc["config"]["n_trees"]))),
         2, "model.json"),
-    "explain-string-linear-weights": (_edited_model(_as_linear), 2, "model.json"),
+    "explain-linear-model-kind": (_edited_model(_as_linear), 2, "model.json"),
+    "explain-nan-base-score": (
+        _edited_model(lambda doc: doc.update(base_score=float("nan"))), 2, "model.json"),
+    "explain-infinite-threshold": (_edited_model(_infinite_threshold), 2, "model.json"),
     "report-list-config": (_manifest_bundle([]), 2, "bundle.json"),
     "report-dataset-without-name": (_manifest_bundle({"datasets": [{}]}),
                                     2, "bundle.json"),
     "encode-invalid-json-schema": (lambda ws, tmp: _encode(ws, tmp, "{"), 2, "schema.json"),
     "encode-list-schema": (lambda ws, tmp: _encode(ws, tmp, "[]"), 2, "schema.json"),
     "train-non-numeric-cell": (
-        lambda ws, tmp: _train(ws, tmp, _copy_matrix(ws, tmp, edit_csv=_bad_cell)),
+        lambda ws, tmp: _train(ws, tmp, _copy_matrix(ws, tmp, edit_csv=_bad_cell("x"))),
+        2, "matrix.csv"),
+    "train-infinite-cell": (
+        lambda ws, tmp: _train(ws, tmp, _copy_matrix(ws, tmp, edit_csv=_bad_cell("inf"))),
         2, "matrix.csv"),
     "train-matrix-without-descriptors": (
         lambda ws, tmp: _train(ws, tmp, _copy_matrix(
@@ -431,6 +476,21 @@ MALFORMED_INPUTS = {
     "train-missing-matrix": (lambda ws, tmp: _train(ws, tmp, str(tmp / "absent")),
                              1, "absent"),
     "eval-stability-list-explanations": (_eval_stability, 2, "listed.json"),
+    "eval-stability-fractional-prefix-length": (
+        _edited_set(lambda doc: doc.update(prefix_length=2.7)), 2, "set.json"),
+    "eval-stability-fractional-n-features": (
+        _edited_set(lambda doc: doc.update(n_features=3.9)), 2, "set.json"),
+    "eval-stability-negative-n-features": (_edited_set(_negative_width), 2, "set.json"),
+    "eval-stability-fractional-column": (
+        _edited_set(_attribution("column_index", 1.9)), 2, "set.json"),
+    "eval-stability-string-column": (
+        _edited_set(_attribution("column_index", "2")), 2, "set.json"),
+    "eval-stability-bool-weight": (_edited_set(_attribution("weight", True)), 2, "set.json"),
+    "eval-stability-string-weight": (
+        _edited_set(_attribution("weight", "0.5")), 2, "set.json"),
+    "eval-stability-string-degenerate": (
+        _edited_set(lambda doc: doc["explanations"][1].update(degenerate="no")),
+        2, "set.json"),
     "run-non-object-explainer": (lambda ws, tmp: _run(ws, tmp, explainers=[5]),
                                  2, "config.json"),
     "run-string-n-trees": (lambda ws, tmp: _run(ws, tmp, model={"n_trees": "x"}),
@@ -440,6 +500,10 @@ MALFORMED_INPUTS = {
     "run-string-downsample": (lambda ws, tmp: _run(ws, tmp, downsample="no"),
                               2, "config.json"),
     "run-fractional-m": (lambda ws, tmp: _run(ws, tmp, m=10.5), 2, "config.json"),
+    "run-nan-kernel-width": (
+        lambda ws, tmp: _run(ws, tmp, explainers=[{"id": "surrogate", "n_samples": 300,
+                                                   "kernel_width": float("nan")}]),
+        2, "config.json"),
 }
 
 

@@ -18,9 +18,9 @@ from exqual.eventlog import (
     LogSchema,
     downsample_majority,
     extract_prefixes,
-    log_to_csv_text,
     parse_log,
     split_train_test,
+    write_log,
 )
 from exqual.synthetic import generate_synthetic_log
 
@@ -50,6 +50,12 @@ c3,register,2024-01-02T09:00:00,,web,5,bob,regular
 
 def parse_text(text, schema=SCHEMA):
     return parse_log(io.StringIO(text), schema)
+
+
+def csv_text(log, tmp_path):
+    path = tmp_path / "log.csv"
+    write_log(log, str(path))
+    return path.read_text(encoding="utf-8")
 
 
 def test_parse_groups_and_orders_events():
@@ -93,6 +99,13 @@ def test_parse_type_mismatch_reports_location():
     assert err.value.value == "lots"
 
 
+def test_parse_non_finite_number_reports_location():
+    for token in ("inf", "-Infinity", "nan"):
+        with pytest.raises(TypeMismatch) as err:
+            parse_text(CSV_TEXT.replace("100.5", token))
+        assert (err.value.row, err.value.column, err.value.value) == (2, "amount", token)
+
+
 def test_parse_bad_timestamp():
     bad = CSV_TEXT.replace("2024-01-01T10:30:00", "yesterday")
     with pytest.raises(TypeMismatch):
@@ -128,9 +141,9 @@ def test_parse_empty_source():
         parse_text("")
 
 
-def test_round_trip_through_csv():
+def test_round_trip_through_csv(tmp_path):
     log = parse_text(CSV_TEXT)
-    again = parse_text(log_to_csv_text(log))
+    again = parse_text(csv_text(log, tmp_path))
     assert again.traces == log.traces
 
 
@@ -246,7 +259,7 @@ def test_downsample_noop_when_balanced():
     assert downsample_majority(balanced, seed=2) == balanced
 
 
-def test_synthetic_deterministic_per_seed():
+def test_synthetic_deterministic_per_seed(tmp_path):
     spec = {
         "n_traces": 12,
         "activities": ["a", "b", "c"],
@@ -263,9 +276,9 @@ def test_synthetic_deterministic_per_seed():
         "missing_rate": 0.1,
         "label_rule": {"kind": "activity_occurs", "activity": "b", "noise": 0.1},
     }
-    a = log_to_csv_text(generate_synthetic_log(spec, seed=42))
-    b = log_to_csv_text(generate_synthetic_log(spec, seed=42))
-    c = log_to_csv_text(generate_synthetic_log(spec, seed=43))
+    a = csv_text(generate_synthetic_log(spec, seed=42), tmp_path)
+    b = csv_text(generate_synthetic_log(spec, seed=42), tmp_path)
+    c = csv_text(generate_synthetic_log(spec, seed=43), tmp_path)
     assert a == b
     assert a != c
 

@@ -27,11 +27,12 @@ from exqual.explain import (
 )
 from exqual.model import (
     GBTConfig,
-    LinearModel,
     predict_proba_rows,
     routing_differs,
     train_gbt,
 )
+
+from linear_box import logistic_box
 
 
 def matrix_from(rows, labels):
@@ -264,7 +265,7 @@ def test_sampled_shapley_bit_identical_to_full_walks(seed):
 def test_routing_differs_all_true_without_trees():
     rng = np.random.default_rng(2)
     row, bg = rng.normal(size=5), rng.normal(size=(3, 5))
-    linear = LinearModel(weights=np.zeros(5), intercept=0.0)
+    linear = logistic_box(np.zeros(5))
     for model in (linear, lambda block: block.sum(axis=1)):
         differs = routing_differs(model, row, bg)
         assert differs.shape == (3, 5) and differs.all()
@@ -302,7 +303,7 @@ def test_surrogate_recovers_linear_black_box_without_discretization():
     train_rows = rng.normal(size=(400, d))
     stats = stats_for(train_rows)
     w_true = 0.25 * np.array([1.2, -0.9, 0.6, -0.45, 0.3, -0.2, 0.12, 0.06])
-    black_box = LinearModel(weights=w_true, intercept=0.0)
+    black_box = logistic_box(w_true)
     row = np.zeros(d)
     cfg = SurrogateConfig(n_samples=5000, k=d, discretize_numeric=False)
     exp = explain_surrogate(black_box, row, stats, cfg, seed=5)
@@ -322,7 +323,7 @@ def test_surrogate_equals_closed_form_wls_on_same_samples():
     rng = np.random.default_rng(13)
     stats = stats_for(rng.normal(size=(300, d)))
     w_true = 0.2 * np.array([1.0, -0.8, 0.5, 0.3, -0.1])
-    black_box = LinearModel(weights=w_true, intercept=0.1)
+    black_box = logistic_box(w_true, 0.1)
     row = np.full(d, 0.2)
     cfg = SurrogateConfig(n_samples=800, k=d, discretize_numeric=False)
     exp = explain_surrogate(black_box, row, stats, cfg, seed=17)
@@ -331,7 +332,7 @@ def test_surrogate_equals_closed_form_wls_on_same_samples():
     # full weighted least squares directly
     samples = sample_neighborhood(row, stats, cfg.n_samples,
                                   np.random.default_rng(17), discretize_numeric=False)
-    y = predict_proba_rows(black_box, samples)
+    y = black_box(samples)
     w = kernel_weights(samples, samples[0], stats, cfg.resolved_kernel_width(d))
     A = np.column_stack([samples, np.ones(len(y))]) * np.sqrt(w)[:, None]
     beta, *_ = np.linalg.lstsq(A, y * np.sqrt(w), rcond=None)
@@ -355,7 +356,7 @@ def test_surrogate_selects_exactly_k_features():
     stats = stats_for(train_rows)
     w = np.zeros(d)
     w[[0, 3, 7]] = [0.8, -0.6, 0.4]
-    black_box = LinearModel(weights=w, intercept=0.0)
+    black_box = logistic_box(w)
     cfg = SurrogateConfig(n_samples=1500, k=3, discretize_numeric=False)
     exp = explain_surrogate(black_box, np.zeros(d), stats, cfg, seed=2)
     assert exp.selected_k == 3
@@ -450,7 +451,7 @@ def test_neighborhood_sampling_distributions():
 def test_repeat_explanations_deterministic_and_seed_derived():
     d = 4
     stats = stats_for(np.random.default_rng(1).normal(size=(200, d)))
-    black_box = LinearModel(weights=np.array([0.4, -0.3, 0.2, 0.1]), intercept=0.0)
+    black_box = logistic_box([0.4, -0.3, 0.2, 0.1])
 
     def surrogate_fn(model, row, seed):
         return explain_surrogate(model, row, stats,
@@ -498,8 +499,7 @@ def test_explanation_type_invariants():
 def test_explanation_set_round_trip(tmp_path):
     exps = tuple(
         Explanation(attributions=(Attribution(0, 0.5, (1.0, 2.0)), Attribution(1, -0.25, (0.0, 0.0))),
-                    selected_k=2, explainer_id="surrogate", seed_used=s, n_features=4,
-                    case_ref=("c9", 3))
+                    selected_k=2, explainer_id="surrogate", seed_used=s, n_features=4)
         for s in (1, 2, 3)
     )
     es = ExplanationSet(explanations=exps, case_ref=("c9", 3))
@@ -515,6 +515,7 @@ def test_surrogate_config_validation():
         SurrogateConfig(n_samples=50)
     with pytest.raises(InvalidSpec):
         SurrogateConfig(k=0)
-    with pytest.raises(InvalidSpec):
-        SurrogateConfig(kernel_width=-1.0)
+    for width in (-1.0, float("nan")):
+        with pytest.raises(InvalidSpec):
+            SurrogateConfig(kernel_width=width)
     assert SurrogateConfig().resolved_kernel_width(16) == pytest.approx(3.0)

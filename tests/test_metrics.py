@@ -40,7 +40,8 @@ from exqual.metrics import (
     stability_by_subset,
     stability_by_weight,
 )
-from exqual.model import LinearModel
+
+from linear_box import logistic_box
 
 
 # ---------------------------------------------------------------- oracles
@@ -257,7 +258,7 @@ def test_stability_score_type_rejects_values_above_one():
 
 
 def test_exact_shapley_repeats_are_perfectly_stable():
-    model = LinearModel(weights=np.array([1.0, -2.0, 0.5, 0.0]), intercept=0.1)
+    model = logistic_box([1.0, -2.0, 0.5, 0.0], 0.1)
     config = ShapleyConfig(background=np.zeros((3, 4)))
     row = np.array([1.0, 2.0, -1.0, 3.0])
 
@@ -583,7 +584,7 @@ def test_evaluate_instance_produces_full_record():
         selected_k=2, explainer_id=SURROGATE_ID, seed_used=s, n_features=2)
         for s in (0, 1)]
     es = ExplanationSet(explanations=tuple(exps), case_ref=("c2", 1))
-    model = LinearModel(weights=np.array([0.3, -0.2]), intercept=0.05)
+    model = logistic_box([0.3, -0.2], 0.05)
     record = evaluate_instance(model, es, matrix, train_stats=stats, k=1,
                                rng=np.random.default_rng(0))
     assert record.case_id == "c2" and record.prefix_length == 1

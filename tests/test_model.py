@@ -1,5 +1,4 @@
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,6 @@ from exqual.errors import (
     DegenerateMatrix,
     EmptyMatrix,
     InvalidSpec,
-    NonConvergence,
     SingleClass,
     WidthMismatch,
 )
@@ -21,18 +19,14 @@ from exqual.model import (
     MAX_RAW_SCORE,
     GBTConfig,
     GBTModel,
-    LinearModel,
     Tree,
     descriptor_fingerprint,
     evaluate_accuracy,
-    model_from_dict,
     model_to_dict,
-    predict_proba,
     predict_proba_rows,
     predict_raw,
     read_model,
     train_gbt,
-    train_logistic,
     write_model,
 )
 
@@ -85,17 +79,10 @@ def test_gbt_never_splits_all_missing_column():
 
 def test_empty_ensemble_predicts_logistic_of_base_score():
     model = GBTModel(trees=(), base_score=0.0, n_features=3, descriptors_fingerprint="x")
-    assert predict_proba(model, np.zeros(3)) == 0.5
+    assert predict_proba_rows(model, np.zeros((1, 3)))[0] == 0.5
     trained = train_gbt(separable_1d(), GBTConfig(n_trees=4, max_depth=1, min_leaf=2))
     raw0 = predict_raw(trained, np.array([[1.0], [2.0]]), n_trees=0)
     assert np.allclose(raw0, trained.base_score)
-
-
-def test_linear_model_closed_form():
-    lm = LinearModel(weights=np.array([2.0, -1.0]), intercept=0.0)
-    assert predict_proba(lm, np.array([1.0, 1.0])) == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-12)
-    with pytest.raises(InvalidSpec):
-        LinearModel(weights=np.array([np.inf]), intercept=0.0)
 
 
 def test_probabilities_strictly_inside_unit_interval():
@@ -162,12 +149,13 @@ def test_gbt_deterministic_given_seed():
 
 def test_evaluate_accuracy_and_width_checks():
     m = matrix_from([[1.0], [2.0], [3.0]], [1, 1, 1])
-    high = LinearModel(weights=np.zeros(1), intercept=5.0)  # predicts ~0.99
-    low = LinearModel(weights=np.zeros(1), intercept=-5.0)
+    high = GBTModel(trees=(), base_score=5.0, n_features=1,
+                    descriptors_fingerprint="x")  # predicts ~0.99
+    low = GBTModel(trees=(), base_score=-5.0, n_features=1, descriptors_fingerprint="x")
     assert evaluate_accuracy(high, m) == 1.0
     assert evaluate_accuracy(low, m) == 0.0
     with pytest.raises(WidthMismatch):
-        predict_proba(high, np.array([1.0, 2.0]))
+        predict_proba_rows(high, np.array([[1.0, 2.0]]))
     empty = FeatureMatrix(
         rows=np.zeros((0, 1)),
         descriptors=(FeatureDescriptor(0, "f0", "static_numeric"),),
@@ -189,50 +177,6 @@ def test_config_validation():
         GBTConfig(subsample=1.5)
 
 
-def test_logistic_sign_on_separable_data():
-    lm = train_logistic(separable_1d(), l2=1e-3)
-    assert lm.weights[0] > 0
-
-
-def test_logistic_heavy_l2_recovers_base_rate_intercept():
-    rng = np.random.default_rng(2)
-    rows = rng.normal(size=(200, 3))
-    y = np.zeros(200, dtype=int)
-    y[:60] = 1  # base rate 0.3
-    lm = train_logistic(matrix_from(rows, y), l2=1e6)
-    assert np.max(np.abs(lm.weights)) < 1e-4
-    assert lm.intercept == pytest.approx(math.log(0.3 / 0.7), abs=1e-3)
-
-
-def test_logistic_recovers_generating_parameters():
-    rng = np.random.default_rng(7)
-    n = 5000
-    X = rng.normal(size=(n, 3))
-    w_true = np.array([1.5, -2.0, 1.0])
-    b_true = 0.5
-    p = 1.0 / (1.0 + np.exp(-(X @ w_true + b_true)))
-    y = (rng.random(n) < p).astype(int)
-    lm = train_logistic(matrix_from(X, y), l2=1e-9)
-    assert np.all(np.abs(lm.weights - w_true) / np.abs(w_true) < 0.10)
-    assert abs(lm.intercept - b_true) / abs(b_true) < 0.10
-
-
-def test_logistic_mean_imputes_missing_cells():
-    rows = np.array([[1.0, np.nan], [2.0, 3.0], [-1.0, 1.0], [-2.0, np.nan]])
-    y = [1, 1, 0, 0]
-    lm = train_logistic(matrix_from(rows, y), l2=1e-2)
-    assert np.all(np.isfinite(lm.weights))
-
-
-def test_logistic_error_paths():
-    with pytest.raises(SingleClass):
-        train_logistic(matrix_from([1.0, 2.0], [0, 0]))
-    with pytest.raises(NonConvergence):
-        train_logistic(separable_1d(), l2=1e-6, max_iter=3)
-    with pytest.raises(InvalidSpec):
-        train_logistic(separable_1d(), l2=-1.0)
-
-
 def test_model_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     rows = rng.normal(size=(50, 3))
@@ -246,11 +190,6 @@ def test_model_serialization_round_trip(tmp_path):
     assert again.base_score == model.base_score
     assert again.descriptors_fingerprint == model.descriptors_fingerprint
     assert np.array_equal(predict_proba_rows(again, m.rows), predict_proba_rows(model, m.rows))
-
-    lm = LinearModel(weights=np.array([0.5, -0.25]), intercept=1.0)
-    doc = model_to_dict(lm)
-    lm2 = model_from_dict(doc)
-    assert np.array_equal(lm2.weights, lm.weights) and lm2.intercept == lm.intercept
 
     assert descriptor_fingerprint(m.descriptors) == descriptor_fingerprint(m.descriptors)
     assert model.descriptors_fingerprint == descriptor_fingerprint(m.descriptors)
