@@ -11,16 +11,17 @@ Two built-in explainers over any predict function:
 `model` may be a trained `GBTModel` or any callable mapping an (n, d)
 block of rows to n prediction probabilities.
 
-The Shapley explainer predicts only composite rows that can differ. A
+The Shapley explainer predicts each distinct composite row once. A
 composite takes some features from the instance and the rest from one
 background row b; a feature whose splits (in every tree) send the instance
-and b the same way reaches the same leaves from either value. So for a
-tree model each distinct routing is predicted once: 2^|D_b| restricted
-composites per b in the exact regime, and only the walk steps that add a
-feature of D_b in the sampled one, where D_b is the set of features that
-route the instance and b apart (`model.routing_differs`). Every value is
-the one predicting all composites would give, bit for bit; for an opaque
-callable D_b is every feature and all composites are predicted.
+and b the same way reaches the same leaves from either value. So a
+composite predicts the same as its restriction to D_b, the set of features
+that route the instance and b apart (`model.routing_differs`), which takes
+only the D_b features of its coalition from the instance. Both regimes
+predict each distinct restricted composite once: all 2^|D_b| of them per b
+in the exact regime, and those the sampled walks reach in the sampled one.
+Every value is the one predicting all composites would give, bit for bit;
+for an opaque callable D_b is every feature.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ SHAPLEY_ID = "shapley"
 _PREDICTION_SPREAD_TOL = 1e-12  # below this the neighborhood carries no signal
 _EXACT_ROW_BUDGET = 262144  # composite rows per predict call in exact mode
 _PERMUTATION_ROW_BUDGET = 8192  # composite rows per predict call in sampled mode
+_KEY_BITS = 31  # coalition bits per word of a sampled-walk step's key
 
 
 # explanation-set file: object -> accepted JSON value types, checked exactly
@@ -90,6 +92,8 @@ class Attribution:
         iv = doc.get("interval")
         if iv is not None:
             check_options(iv, _INTERVAL_FILE, "interval")
+            if iv["lo"] > iv["hi"]:
+                raise InvalidSpec(f"interval lo {iv['lo']} is above hi {iv['hi']}")
         return cls(
             column_index=doc["column_index"],
             weight=float(doc["weight"]),
@@ -407,27 +411,34 @@ def _sampled_shapley(predict, row: np.ndarray, background: np.ndarray,
     position = np.empty_like(perms)
     position[np.arange(n_permutations)[:, None], perms] = np.arange(d)
 
-    # Step t of walk p takes the first t features of perms[p] from `row`.
-    # A step whose added feature is outside D_b of the walk's background
-    # row moves no leaf: it is not predicted, it repeats the prediction
-    # before it, and its gain is exactly 0.
-    predicted = np.ones((n_permutations, d + 1), dtype=bool)
-    predicted[:, 1:] = differs[base[:, None], perms]
-    walk, step = np.nonzero(predicted)
-    preds = np.empty(walk.size)
-    for start in range(0, walk.size, _PERMUTATION_ROW_BUDGET):
-        w = walk[start:start + _PERMUTATION_ROW_BUDGET]
-        s = step[start:start + _PERMUTATION_ROW_BUDGET]
-        composite = np.where(position[w] < s[:, None], row[None, :], background[base[w]])
-        preds[start:start + w.size] = predict(composite)
-    values = np.empty((n_permutations, d + 1))
-    values[predicted] = preds
-    last = np.maximum.accumulate(np.where(predicted, np.arange(d + 1), 0), axis=1)
-    gains = np.diff(np.take_along_axis(values, last, axis=1), axis=1)
+    # Step t of walk p takes the set S of the first t features of perms[p]
+    # from `row`. Its composite reaches the same leaves as its restriction
+    # to D_b of the walk's background row b, so its value depends only on b
+    # and S ∩ D_b. Key each step by b and the bits of S ∩ D_b, 31 bits to a
+    # word, folding each word in by its np.unique rank so that keys stay
+    # exact at any |D_b|, and predict one restricted composite per key. A
+    # step that adds a feature outside D_b keeps the key of the step before
+    # it, so its gain is exactly 0.
+    added = differs[base[:, None], perms]
+    place = (np.cumsum(differs, axis=1) - 1)[base[:, None], perms]  # bit of perms[p, t]
+    key = np.repeat(base, d + 1)
+    masks = np.zeros((n_permutations, d + 1), dtype=np.int64)
+    n_words = max(1, -(-int(differs.sum(axis=1).max()) // _KEY_BITS))  # ceil, at least 1
+    for word in range(n_words):
+        bits = added & (place // _KEY_BITS == word)
+        np.cumsum(np.where(bits, np.left_shift(1, place % _KEY_BITS), 0), axis=1,
+                  out=masks[:, 1:])
+        _, first, key = np.unique((key << _KEY_BITS) | masks.ravel(),
+                                  return_index=True, return_inverse=True)
+    preds = np.empty(first.size)
+    for start in range(0, first.size, _PERMUTATION_ROW_BUDGET):
+        w, s = np.divmod(first[start:start + _PERMUTATION_ROW_BUDGET], d + 1)
+        take = differs[base[w]] & (position[w] < s[:, None])
+        preds[start:start + w.size] = predict(np.where(take, row[None, :], background[base[w]]))
+    gains = np.diff(preds[key].reshape(n_permutations, d + 1), axis=1)
 
     phi = np.zeros(d)
-    for p in range(n_permutations):  # gain t belongs to perms[p, t]
-        phi[perms[p]] += gains[p]
+    np.add.at(phi, perms.ravel(), gains.ravel())  # in walk order, as a loop over p would
     return phi / n_permutations
 
 
@@ -439,16 +450,17 @@ def explain_shapley(model, row: np.ndarray, config: ShapleyConfig,
     independent), permutation sampling otherwise. Attributions carry no
     intervals; the perturbation planner infers them from value binning.
 
-    Only composites that can differ are predicted. For background row b,
-    D_b is the set of features with a split that sends the instance and b
-    to different sides (`model.routing_differs`; every feature for an
-    opaque callable). Taking a feature outside D_b from the
-    instance instead of b reaches the same leaves, so the same prediction.
-    The exact regime therefore predicts each composite of b restricted to
-    D_b once (2^|D_b| per b, not 2^d) and gathers v(S) from them; the
-    sampled regime predicts only the walk steps that add a feature of D_b
-    and repeats the previous prediction at the others. Both give the same
-    values, bit for bit, as predicting every composite.
+    Each distinct restricted composite is predicted once, in both regimes.
+    For background row b, D_b is the set of features with a split that
+    sends the instance and b to different sides (`model.routing_differs`;
+    every feature for an opaque callable). Taking a feature outside D_b
+    from the instance instead of b reaches the same leaves, so the same
+    prediction: the composite of coalition S predicts the same as its
+    restriction, which takes only S ∩ D_b from the instance. The exact
+    regime predicts the 2^|D_b| restrictions of each b (not 2^d) and
+    gathers v(S) from them; the sampled regime keys every walk step by b
+    and S ∩ D_b and predicts one restriction per distinct key. Both give
+    the same values, bit for bit, as predicting every composite.
     """
     predict = _as_predict_fn(model)
     row = np.asarray(row, dtype=np.float64)
@@ -505,6 +517,9 @@ def explanation_set_to_dict(es: ExplanationSet) -> dict:
 
 def _explanation_from_dict(doc: dict, explainer_id: str, d: int) -> Explanation:
     check_options(doc, _EXPLANATION_FILE, "explanation")
+    if doc["selected_k"] != len(doc["attributions"]):
+        raise InvalidSpec(f"selected_k {doc['selected_k']} differs from the "
+                          f"{len(doc['attributions'])} attributions")
     return Explanation(
         attributions=tuple(Attribution.from_dict(a) for a in doc["attributions"]),
         selected_k=doc["selected_k"],

@@ -491,6 +491,13 @@ MALFORMED_INPUTS = {
     "eval-stability-string-degenerate": (
         _edited_set(lambda doc: doc["explanations"][1].update(degenerate="no")),
         2, "set.json"),
+    "eval-stability-reversed-interval": (
+        _edited_set(lambda doc: doc["explanations"][0]["attributions"][0].update(
+            interval={"lo": 5.0, "hi": 1.0})),
+        2, "set.json"),
+    "eval-stability-selected-k-off-count": (
+        _edited_set(lambda doc: doc["explanations"][1].update(selected_k=-3)),
+        2, "set.json"),
     "run-non-object-explainer": (lambda ws, tmp: _run(ws, tmp, explainers=[5]),
                                  2, "config.json"),
     "run-string-n-trees": (lambda ws, tmp: _run(ws, tmp, model={"n_trees": "x"}),

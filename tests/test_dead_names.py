@@ -1,6 +1,7 @@
 """Every module-level function, class and constant of src/exqual is used by
 the program: the package itself or the benchmark in perfbench/. A name that
-only tests reach is dead code."""
+only tests reach is dead code. Every module-level import of a test module
+is used by that module."""
 
 import ast
 import pathlib
@@ -62,3 +63,27 @@ def dead_names() -> list[str]:
 def test_every_module_level_name_is_used_by_the_program():
     dead = [name for name in dead_names() if name.split(".", 1)[1] not in ALLOWED]
     assert dead == [], f"defined but referenced nowhere in src/exqual or perfbench: {dead}"
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    """Names a module-level import of path binds that the module never
+    loads."""
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = {node.id for node in ast.walk(module)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for stmt in module.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)) and \
+                getattr(stmt, "module", None) != "__future__":
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded:
+                    unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_test_import_is_used_by_its_module():
+    unused = [name for path in sorted((ROOT / "tests").glob("*.py"))
+              for name in unused_imports(path)
+              if name.split(".", 1)[1] not in ALLOWED]
+    assert unused == [], f"imported but never referenced by the importing test module: {unused}"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from exqual import explain
 from exqual.encoding import FeatureDescriptor, FeatureMatrix, MatrixStats
 from exqual.errors import EmptyBackground, InvalidSpec, WidthMismatch
 from exqual.explain import (
@@ -260,6 +261,66 @@ def test_sampled_shapley_bit_identical_to_full_walks(seed):
     expected = reference_sampled_shapley(predict, row, bg, cfg.n_permutations,
                                          np.random.default_rng(seed))
     assert np.array_equal(exp.weight_vector(), expected)
+
+
+def distinct_walk_composites(differs, n_permutations, rng):
+    """The distinct (b, S ∩ D_b) pairs over every step of the full walks,
+    S ∩ D_b as a bitmask over the original column indices."""
+    n_bg, d = differs.shape
+    seen = set()
+    for _ in range(n_permutations):
+        perm = rng.permutation(d)
+        b = int(rng.integers(0, n_bg))
+        mask = 0
+        seen.add((b, mask))
+        for j in perm:
+            if differs[b, j]:
+                mask |= 1 << int(j)
+            seen.add((b, mask))
+    return len(seen)
+
+
+def test_sampled_shapley_predicts_each_distinct_composite_once(monkeypatch):
+    d = 25
+    model, rows, bg = gbt_with_missing(d, 20)
+    row = rows[150]
+    assert np.isnan(row).any() and np.isnan(bg).any()
+    calls = []
+
+    def counting(mdl, block):
+        calls.append(block.shape[0])
+        return predict_proba_rows(mdl, block)
+
+    monkeypatch.setattr(explain, "predict_proba_rows", counting)
+    cfg = ShapleyConfig(background=bg, n_permutations=2000)
+    explain_shapley(model, row, cfg, seed=4)
+    differs = routing_differs(model, row, bg)
+    assert differs.sum(axis=1).max() < d
+    expected = distinct_walk_composites(differs, cfg.n_permutations,
+                                        np.random.default_rng(4))
+    assert sum(calls) == expected > _PERMUTATION_ROW_BUDGET
+    assert max(calls) <= _PERMUTATION_ROW_BUDGET
+
+
+def test_sampled_shapley_two_word_keys_bit_identical_for_opaque_model():
+    d = 40  # D_b is all 40 features: each step's key spans two 31-bit words
+    rng = np.random.default_rng(8)
+    row, bg = rng.normal(size=d), rng.normal(size=(16, d))
+    calls = []
+
+    def predict(block):  # row-wise: element-wise terms and a per-row sum
+        calls.append(block.shape[0])
+        return np.tanh(block[:, 0] * block[:, 39]) + (block * np.cos(block)).sum(axis=1)
+
+    cfg = ShapleyConfig(background=bg, n_permutations=300)
+    exp = explain_shapley(predict, row, cfg, seed=6)
+    expected = distinct_walk_composites(np.ones((16, d), dtype=bool), cfg.n_permutations,
+                                        np.random.default_rng(6))
+    assert sum(calls) == expected > _PERMUTATION_ROW_BUDGET
+    assert max(calls) <= _PERMUTATION_ROW_BUDGET
+    reference = reference_sampled_shapley(predict, row, bg, cfg.n_permutations,
+                                          np.random.default_rng(6))
+    assert np.array_equal(exp.weight_vector(), reference)
 
 
 def test_routing_differs_all_true_without_trees():

@@ -2,7 +2,6 @@
 worker counts, aggregate traceability, failure isolation, and emission."""
 
 import csv
-import json
 import os
 
 import pytest
@@ -10,7 +9,6 @@ import pytest
 from exqual.errors import InvalidSpec
 from exqual.harness import (
     ExperimentConfig,
-    ReportBundle,
     emit_report,
     read_bundle,
     run_experiment,

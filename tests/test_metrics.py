@@ -1,8 +1,6 @@
 """Stability and fidelity metrics: hand-checked values, straight-from-the-
 formula oracles, and the perturbation protocol's disjointness guarantees."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,6 @@ from exqual.explain import (
 )
 from exqual.metrics import (
     FLAG_EPSILON_GUARD,
-    FLAG_INTERVAL_FALLBACK,
     InfluentialRegion,
     PerturbationPlan,
     PerturbationTarget,
@@ -30,7 +27,6 @@ from exqual.metrics import (
     aggregate,
     build_perturbation_plan,
     build_subset_matrix,
-    build_weight_matrix,
     evaluate_instance,
     fidelity,
     influential_interval,
