@@ -265,6 +265,9 @@ def encode(bucket_log: PrefixLog, schema: LogSchema, method: str,
     dyn_dtype = {schema.activity_column: CATEGORICAL, ELAPSED_ATTR: NUMERIC}
     dyn_dtype.update({a.name: a.dtype for a in schema.dynamic_attrs})
 
+    # (attribute, number of present values) -> (rows, their present values):
+    # each group's aggregate statistics are reduced in one call per statistic
+    numeric: dict[tuple[str, int], tuple[list, list]] = {}
     for r, entry in enumerate(bucket_log.entries):
         trace = entry.trace
         for a in static_attrs:
@@ -297,12 +300,9 @@ def encode(bucket_log: PrefixLog, schema: LogSchema, method: str,
                 else:
                     present = [float(v) for v in values if v is not None]
                     if present:
-                        arr = np.asarray(present)
-                        std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-                        stats = {"min": float(arr.min()), "max": float(arr.max()),
-                                 "mean": float(arr.mean()), "std": std}
-                        for stat, v in stats.items():
-                            rows[r, col_of[(name, f"agg_{stat}", None, None)]] = v
+                        at, batch = numeric.setdefault((name, len(present)), ([], []))
+                        at.append(r)
+                        batch.append(present)
             else:
                 if dyn_dtype[name] == CATEGORICAL:
                     known = vocab.for_attr(name)
@@ -319,6 +319,13 @@ def encode(bucket_log: PrefixLog, schema: LogSchema, method: str,
                         v = values[idx - 1]
                         if v is not None:
                             rows[r, col_of[(name, "index_numeric", None, idx)]] = float(v)
+
+    for (name, count), (at, batch) in numeric.items():
+        arr = np.asarray(batch)  # (rows, count), each row reduced as on its own
+        stats = {"min": arr.min(axis=1), "max": arr.max(axis=1), "mean": arr.mean(axis=1),
+                 "std": arr.std(axis=1, ddof=1) if count > 1 else 0.0}
+        for stat, v in stats.items():
+            rows[at, col_of[(name, f"agg_{stat}", None, None)]] = v
 
     labels = np.asarray([1 if e.label else 0 for e in bucket_log.entries], dtype=np.int8)
     case_ids = tuple(e.case_id for e in bucket_log.entries)

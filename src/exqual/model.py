@@ -8,7 +8,12 @@ changing a single bit of a tree or a prediction:
 - Training sorts every column once per model (`train_gbt`) and scores all
   columns of a node in one pass over its presorted segments
   (`_TreeBuilder`), in the manner of XGBoost's exact greedy column blocks
-  (Chen & Guestrin, KDD 2016, section 4.1).
+  (Chen & Guestrin, KDD 2016, section 4.1). What a node's split search
+  needs that does not depend on the residuals (each column's sorted rows
+  and cut positions, missing counts, `min_leaf` masks) depends only on the
+  node's rows. Each tree keeps it in a node structure (`_Node`) that the
+  next tree grown on the same rows starts from: where that tree repeats a
+  split, the child's search only gathers residuals, sums and scores.
 - Prediction walks all trees of the packed ensemble one level per step
   over blocks of rows (`predict_raw`).
 """
@@ -229,25 +234,69 @@ def _column_blocks(n_cols: int, n: int) -> list[slice]:
     return [slice(c, min(c + step, n_cols)) for c in range(0, n_cols, step)]
 
 
-class _TreeBuilder:
-    """Grows one regression tree on the residuals grad of a block of rows.
+class _Node:
+    """A node of the tree being grown, kept afterwards as the memo of the
+    next tree, which grows on the same rows.
 
-    order is the tree's (d + 1, n_rows) int32 block of row ids: row j < d
-    lists the rows sorted by column j, stably and NaN last, so that equal
-    values and NaNs keep ascending row ids; row d lists them ascending. A
-    node owns the segment [lo, hi) of every row of order, and splitting it
-    stably partitions each segment in place, left child first. A node's
-    rows therefore stay ascending, and each column segment lists them in
-    the order a stable sort of just those rows would give: every sum below
+    idx lists the node's row ids ascending (int32). A node that searches
+    for a split also holds seg, the (d, n) int32 block whose row j lists
+    its rows sorted by column j, stably and NaN last, and blocks, its
+    residual-free split candidates (`_Candidates`, one per column block).
+    split is the split last chosen here and left and right the children it
+    led to. All of this depends only on the node's rows, so a tree that
+    picks the same split reuses the children as they are."""
+
+    __slots__ = ("idx", "seg", "blocks", "split", "left", "right")
+
+    def __init__(self, idx, seg=None):
+        self.idx = idx
+        self.seg = seg
+        self.blocks = None
+        self.split = self.left = self.right = None
+
+
+@dataclass(frozen=True)
+class _Candidates:
+    """The cuts of a node's columns cols where their sorted present values
+    rise, column by column, as flat indices into a (len(cols), n) array:
+    the cut after sorted position p of block column j is at j * n + p, and
+    at_last holds its column's last present position. col is that j;
+    starts[c] is the first cut of cut_cols[c], the c-th column with any.
+    counts holds, per cut, the present rows left and right of it, and the
+    same plus the column's missing rows; all are >= 1. refused[side] marks
+    the cuts whose children would hold fewer than min_leaf rows, with the
+    missing rows sent left (side 0) or right (side 1). missing pairs each
+    NaN count with the block columns that have it."""
+
+    cols: slice
+    at_cut: np.ndarray  # int32, as are at_last, col and counts
+    at_last: np.ndarray
+    col: np.ndarray
+    starts: np.ndarray
+    cut_cols: np.ndarray
+    counts: np.ndarray  # (4, cuts): left, right, left + missing, right + missing
+    refused: np.ndarray  # (2, cuts) bool
+    missing: tuple  # ((count, block columns), ...)
+
+
+class _TreeBuilder:
+    """Grows one regression tree on the residuals grad of the rows of a
+    root `_Node`, and leaves the node structure behind as the next tree's
+    memo.
+
+    A searched node scores every column over its seg, so every sum below
     adds the same floats in the same order as sorting each column afresh at
-    every node.
+    every node. Where the node already holds its candidates (built while
+    growing an earlier tree on the same rows), only the residual-dependent
+    work runs. A child of a split that differs from the memo's stably
+    partitions its parent's seg instead, left child first, which keeps that
+    order.
     """
 
-    def __init__(self, XT, grad, hess, order, max_depth, min_leaf):
+    def __init__(self, XT, grad, hess, max_depth, min_leaf):
         self.XT = XT  # (d, n) training rows, column by column
         self.grad = grad
         self.hess = hess
-        self.order = order
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.goes_left = np.zeros(XT.shape[1], dtype=bool)  # by row id, at one split
@@ -257,6 +306,7 @@ class _TreeBuilder:
         self.right: list[int] = []
         self.default_left: list[bool] = []
         self.value: list[float] = []
+        self.leaves: list[tuple[int, np.ndarray]] = []  # (tree node, row ids)
 
     def _new_node(self) -> int:
         self.feature.append(-1)
@@ -268,10 +318,46 @@ class _TreeBuilder:
         return len(self.feature) - 1
 
     def _leaf_value(self, idx) -> float:
-        raw = self.grad[idx].sum() / (self.hess[idx].sum() + LEAF_REG)
+        raw = self.grad.take(idx).sum() / (self.hess.take(idx).sum() + LEAF_REG)
         return float(np.clip(raw, -MAX_LEAF_VALUE, MAX_LEAF_VALUE))
 
-    def _best_split(self, lo, hi, idx):
+    def _candidates(self, node: _Node) -> list[_Candidates]:
+        """The node's split candidates, column block by column block; a
+        block without a cut has none."""
+        n = len(node.idx)
+        width = self.XT.shape[1]
+        blocks = []
+        for cols in _column_blocks(self.XT.shape[0], n):
+            seg = node.seg[cols]
+            at = seg + (np.arange(len(seg)) * width)[:, None]  # into XT[cols].ravel()
+            vals = self.XT[cols].ravel().take(at)
+            # cut after pos, where the sorted values rise (NaN never does)
+            col, pos = np.nonzero(vals[:, 1:] > vals[:, :-1])
+            if col.size == 0:
+                continue
+            starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
+            cut_cols = col[starts]
+            n_m = np.isnan(vals).sum(axis=1)  # NaNs sit at the end
+            n_p = n - n_m
+            missing = cut_cols[n_m[cut_cols] > 0]
+            m = n_m[col]
+            counts = np.empty((4, col.size), dtype=np.int32)
+            counts[0] = pos + 1
+            counts[1] = n_p[col] - counts[0]
+            counts[2:] = counts[:2] + m
+            n_l, n_r, n_lm, n_rm = counts
+            refused = np.empty((2, col.size), dtype=bool)
+            refused[0] = ~((n_lm >= self.min_leaf) & (n_r >= self.min_leaf))
+            refused[1] = ~((n_l >= self.min_leaf) & (n_rm >= self.min_leaf) & (m > 0))
+            blocks.append(_Candidates(
+                cols, (col * n + pos).astype(np.int32),
+                (col * n + n_p[col] - 1).astype(np.int32), col.astype(np.int32),
+                starts, cut_cols, counts, refused,
+                tuple((int(count), missing[n_m[missing] == count])
+                      for count in np.unique(n_m[missing]))))
+        return blocks
+
+    def _best_split(self, node: _Node):
         """Maximize the variance-reduction surrogate Σ_children (Σr)²/n over
         (feature, threshold, missing-direction); returns None when nothing
         beats the parent by more than a tolerance.
@@ -281,103 +367,97 @@ class _TreeBuilder:
         best-scoring cut, and the first of those candidates, column by
         column, with the highest gain wins: the order of a loop over
         columns, directions and cuts that keeps only strict improvements."""
-        r = self.grad[idx]
-        n = hi - lo
+        if node.blocks is None:
+            node.blocks = self._candidates(node)
+        r = self.grad.take(node.idx)
+        n = len(node.idx)
         parent = (r.sum() ** 2) / n
         best = (1e-12, None)  # (gain, (feature, threshold, default_left))
-        for cols in _column_blocks(self.XT.shape[0], n):
-            seg = self.order[cols, lo:hi]
-            vals = np.take_along_axis(self.XT[cols], seg, axis=1)
-            # cut after pos, where the sorted values rise (NaN never does)
-            col, pos = np.nonzero(vals[:, 1:] > vals[:, :-1])
-            if col.size == 0:
-                continue
-            starts = np.flatnonzero(np.diff(col, prepend=-1))
-            cut_cols = col[starts]
-            n_m = np.isnan(vals).sum(axis=1)  # NaNs sit at the end
-            n_p = n - n_m
-            res = self.grad[seg]
-            s_m = np.zeros(len(seg))
-            missing = cut_cols[n_m[cut_cols] > 0]
-            for count in np.unique(n_m[missing]):
-                # the residuals of the missing rows, in row order
-                same = missing[n_m[missing] == count]
-                s_m[same] = res[same, n - count:].sum(axis=1)
-            cum = np.cumsum(res, axis=1, out=res)
+        for b in node.blocks:
+            seg = node.seg[b.cols]
+            res = self.grad.take(seg)
+            sm = 0.0  # the residual sum of a cut column's missing rows
+            if b.missing:
+                s_m = np.zeros(len(seg))
+                for count, same in b.missing:
+                    # the residuals of the missing rows, in row order
+                    s_m[same] = res[same, n - count:].sum(axis=1)
+                sm = s_m.take(b.col)
+            cum = np.cumsum(res, axis=1, out=res).ravel()
 
-            n_l = (pos + 1).astype(np.float64)
-            n_r = n_p[col] - n_l
-            s_l = cum[col, pos]
-            s_r = cum[col, n_p[col] - 1] - s_l
-            m, sm = n_m[col], s_m[col]
-            score = np.empty((2, col.size))  # default left, default right
-            score[0] = (s_l + sm) ** 2 / (n_l + m) + np.where(
-                n_r > 0, s_r ** 2 / np.maximum(n_r, 1), 0.0)
-            score[1] = s_l ** 2 / np.maximum(n_l, 1) + (s_r + sm) ** 2 / (n_r + m)
-            score[0][~(((n_l + m) >= self.min_leaf) & (n_r >= self.min_leaf))] = -np.inf
-            score[1][~((n_l >= self.min_leaf) & ((n_r + m) >= self.min_leaf)
-                       & (m > 0))] = -np.inf
+            s_l = cum.take(b.at_cut)
+            s_r = cum.take(b.at_last) - s_l
+            n_l, n_r, n_lm, n_rm = b.counts
+            score = np.empty((2, len(s_l)))  # default left, default right
+            score[0] = (s_l + sm) ** 2 / n_lm + s_r ** 2 / n_r
+            # without missing rows, sending them right is refused at every cut
+            score[1] = s_l ** 2 / n_l + (s_r + sm) ** 2 / n_rm if b.missing else -np.inf
+            score[b.refused] = -np.inf
 
-            gain = np.maximum.reduceat(score, starts, axis=1) - parent  # (2, cols)
+            gain = np.maximum.reduceat(score, b.starts, axis=1) - parent  # (2, cols)
             q = int(np.argmax(gain.T))
             if gain.T.flat[q] > best[0]:
                 c, side = divmod(q, 2)
-                first, last = starts[c], np.append(starts, col.size)[c + 1]
+                first, last = b.starts[c], np.append(b.starts, len(s_l))[c + 1]
                 k = first + int(np.argmax(score[side, first:last]))
-                j, p = cut_cols[c], pos[k]
-                threshold = float((vals[j, p] + vals[j, p + 1]) / 2.0)
-                best = (gain.T.flat[q], (cols.start + int(j), threshold, side == 0))
+                j = b.cut_cols[c]
+                p = b.at_cut[k] - j * n
+                feature = b.cols.start + int(j)
+                lower, upper = self.XT[feature, seg[j, p:p + 2]]
+                best = (gain.T.flat[q], (feature, float((lower + upper) / 2.0), side == 0))
         return best[1]
 
-    def _partition(self, lo, mid, hi, idx, go_left, columns: bool) -> None:
-        """Stably partition the node's segment of row ids, and of every
-        column when columns is set, so that [lo, mid) holds the rows going
-        left."""
-        if columns:
-            self.goes_left[idx] = go_left
-            for rows in _column_blocks(self.XT.shape[0], hi - lo):
-                seg = self.order[rows, lo:hi]
-                left = self.goes_left[seg]
-                k = len(seg)
-                go, stay = seg[left].reshape(k, mid - lo), seg[~left].reshape(k, hi - mid)
-                self.order[rows, lo:mid] = go
-                self.order[rows, mid:hi] = stay
-        self.order[-1, lo:mid], self.order[-1, mid:hi] = idx[go_left], idx[~go_left]
-
-    def build(self, lo, hi, depth=0) -> int:
-        node = self._new_node()
-        idx = self.order[-1, lo:hi]
-        split = None
-        if depth < self.max_depth and hi - lo >= 2 * self.min_leaf:
-            split = self._best_split(lo, hi, idx)
-        if split is None:
-            self.value[node] = self._leaf_value(idx)
-            return node
+    def _children(self, node: _Node, split, depth) -> tuple[_Node, _Node]:
+        """The nodes of the rows split sends left and right; a child that
+        will search gets its seg, a stable partition of the node's."""
         j, thr, default_left = split
-        col = self.XT[j, idx]
+        col = self.XT[j, node.idx]
         with np.errstate(invalid="ignore"):
             go_left = np.where(np.isnan(col), default_left, col < thr)
-        mid = lo + int(np.count_nonzero(go_left))
-        # a leaf reads only its row ids: columns are partitioned only for
-        # children that may split
-        may_split = (depth + 1 < self.max_depth
-                     and max(mid - lo, hi - mid) >= 2 * self.min_leaf)
-        self._partition(lo, mid, hi, idx, go_left, may_split)
-        self.feature[node] = j
-        self.threshold[node] = thr
-        self.default_left[node] = default_left
-        self.left[node] = self.build(lo, mid, depth + 1)
-        self.right[node] = self.build(mid, hi, depth + 1)
-        return node
+        children = []
+        for rows in (node.idx[go_left], node.idx[~go_left]):
+            searches = depth + 1 < self.max_depth and len(rows) >= 2 * self.min_leaf
+            children.append(_Node(rows, np.empty((self.XT.shape[0], len(rows)), np.int32)
+                                  if searches else None))
+        left, right = children
+        if left.seg is not None or right.seg is not None:
+            self.goes_left[node.idx] = go_left
+            for cols in _column_blocks(self.XT.shape[0], len(node.idx)):
+                seg = node.seg[cols].ravel()
+                goes = self.goes_left.take(seg)
+                for child, side in ((left, goes), (right, ~goes)):
+                    if child.seg is not None:
+                        child.seg[cols] = np.compress(side, seg).reshape(-1, len(child.idx))
+        return left, right
 
-    def freeze(self) -> Tree:
+    def build(self, node: _Node, depth=0) -> int:
+        at = self._new_node()
+        split = None
+        if depth < self.max_depth and len(node.idx) >= 2 * self.min_leaf:
+            split = self._best_split(node)
+        if split is None:
+            node.split = node.left = node.right = None
+            self.value[at] = self._leaf_value(node.idx)
+            self.leaves.append((at, node.idx))
+            return at
+        if split != node.split:
+            # the memo's children hold other rows: drop them before
+            # partitioning this node's rows anew
+            node.split, node.left, node.right = split, None, None
+            node.left, node.right = self._children(node, split, depth)
+        self.feature[at], self.threshold[at], self.default_left[at] = split
+        self.left[at] = self.build(node.left, depth + 1)
+        self.right[at] = self.build(node.right, depth + 1)
+        return at
+
+    def freeze(self, learning_rate: float) -> Tree:
         return Tree(
             feature=np.asarray(self.feature, dtype=np.int32),
             threshold=np.asarray(self.threshold, dtype=np.float64),
             left=np.asarray(self.left, dtype=np.int32),
             right=np.asarray(self.right, dtype=np.int32),
             default_left=np.asarray(self.default_left, dtype=bool),
-            value=np.asarray(self.value, dtype=np.float64),
+            value=np.asarray(self.value, dtype=np.float64) * learning_rate,
         )
 
 
@@ -389,9 +469,12 @@ def train_gbt(matrix: FeatureMatrix, config: GBTConfig = GBTConfig()) -> GBTMode
     Σr/(Σh + reg) scaled by the learning rate. Missing values take the
     split direction that scored better during training.
 
-    Each column is stable-argsorted once (NaN last); every tree starts from
-    that order, filtered to its subsample, and `_TreeBuilder` partitions it
-    node by node without sorting again.
+    Each column is stable-argsorted once (NaN last), and every tree's root
+    starts from that order, filtered to its subsample. A tree grown on the
+    same rows as the one before it (always at subsample 1.0) grows on that
+    tree's node structure (`_Node`), so a split path the two share is
+    sorted and cut once. The training scores are updated from the leaves'
+    rows; only out-of-bag rows are walked through the new tree.
     """
     X, y = matrix.rows, matrix.labels.astype(np.float64)
     n, d = X.shape
@@ -402,33 +485,35 @@ def train_gbt(matrix: FeatureMatrix, config: GBTConfig = GBTConfig()) -> GBTMode
         raise SingleClass("training labels are all one class")
 
     XT = np.ascontiguousarray(X.T)
-    presorted = np.empty((d + 1, n), dtype=np.int32)
-    presorted[:d] = np.argsort(XT, axis=1, kind="stable")
-    presorted[d] = np.arange(n)
+    presorted = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
 
     base = float(np.log(pos / (n - pos)))
     raw = np.full(n, base)
     rng = np.random.default_rng(config.seed)
     n_sub = int(np.floor(config.subsample * n))
+    every_row = np.arange(n, dtype=np.int32)
+    root = None
     trees = []
     for _ in range(config.n_trees):
         p = _sigmoid(raw)
         grad = y - p
         hess = p * (1.0 - p)
+        rows = every_row
         if config.subsample < 1.0:
-            rows = np.sort(rng.choice(n, size=max(n_sub, 1), replace=False))
-            sampled = np.zeros(n, dtype=bool)
-            sampled[rows] = True
-            order = presorted[sampled[presorted]].reshape(d + 1, len(rows))
-        else:
-            order = presorted.copy()
-        builder = _TreeBuilder(XT, grad, hess, order, config.max_depth, config.min_leaf)
-        builder.build(0, order.shape[1])
-        tree = builder.freeze()
-        tree = Tree(tree.feature, tree.threshold, tree.left, tree.right,
-                    tree.default_left, tree.value * config.learning_rate)
+            rows = np.sort(rng.choice(n, size=max(n_sub, 1), replace=False)).astype(np.int32)
+        in_bag = np.zeros(n, dtype=bool)
+        in_bag[rows] = True
+        if root is None or not np.array_equal(root.idx, rows):
+            root = _Node(rows, presorted if len(rows) == n
+                         else presorted[in_bag[presorted]].reshape(d, len(rows)))
+        builder = _TreeBuilder(XT, grad, hess, config.max_depth, config.min_leaf)
+        builder.build(root)
+        tree = builder.freeze(config.learning_rate)
         trees.append(tree)
-        raw = raw + tree.predict(X)
+        for at, idx in builder.leaves:
+            raw[idx] += tree.value[at]
+        if len(rows) < n:
+            raw[~in_bag] += tree.predict(X[~in_bag])
 
     return GBTModel(
         trees=tuple(trees),
@@ -534,20 +619,27 @@ def model_to_dict(model: GBTModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> GBTModel:
-    """The model stored in doc, once every field has its exact JSON type."""
+    """The model stored in doc, once every field has its exact JSON type,
+    its width is positive and it holds the number of trees its config
+    names."""
     kind = doc.get("kind")
     if kind != "gbt":
         raise InvalidSpec(f"unknown model kind {kind!r}")
     check_options(doc, _GBT_FILE, "model")
-    config = check_options(doc["config"], {**MODEL_OPTIONS, "seed": (int,)},
-                           "model config")
+    config = GBTConfig(**check_options(doc["config"], {**MODEL_OPTIONS, "seed": (int,)},
+                                       "model config"))
     n_features = doc["n_features"]
+    if n_features < 1:
+        raise InvalidSpec(f"model n_features must be positive, got {n_features}")
+    if len(doc["trees"]) != config.n_trees:
+        raise InvalidSpec(f"model holds {len(doc['trees'])} trees but its config "
+                          f"names n_trees {config.n_trees}")
     return GBTModel(
         trees=tuple(Tree.from_dict(t, n_features) for t in doc["trees"]),
         base_score=float(doc["base_score"]),
         n_features=n_features,
         descriptors_fingerprint=doc["descriptors_fingerprint"],
-        config=GBTConfig(**config),
+        config=config,
     )
 
 

@@ -346,6 +346,15 @@ def _infinite_threshold(doc):
     tree["threshold"][node] = float("inf")
 
 
+def _zero_width(doc):
+    """n_features 0, with every tree a single leaf so that no split names a
+    column past it."""
+    doc["n_features"] = 0
+    for tree in doc["trees"]:
+        tree.update(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
+                    default_left=[True], value=tree["value"][:1])
+
+
 def _as_linear(doc):
     width = doc["n_features"]
     doc.clear()
@@ -458,6 +467,10 @@ MALFORMED_INPUTS = {
     "explain-nan-base-score": (
         _edited_model(lambda doc: doc.update(base_score=float("nan"))), 2, "model.json"),
     "explain-infinite-threshold": (_edited_model(_infinite_threshold), 2, "model.json"),
+    "explain-empty-trees": (_edited_model(lambda doc: doc.update(trees=[])), 2, "model.json"),
+    "explain-fewer-trees-than-config": (
+        _edited_model(lambda doc: doc.update(trees=doc["trees"][:-1])), 2, "model.json"),
+    "explain-zero-n-features": (_edited_model(_zero_width), 2, "model.json"),
     "report-list-config": (_manifest_bundle([]), 2, "bundle.json"),
     "report-dataset-without-name": (_manifest_bundle({"datasets": [{}]}),
                                     2, "bundle.json"),

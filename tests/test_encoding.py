@@ -95,6 +95,36 @@ def test_aggregate_counts_and_stats_hand_checked():
     assert by_name["amount#std"] == 1.0  # sample std of {1,2,3}
 
 
+def test_aggregate_statistics_bitwise_equal_to_per_row_reductions():
+    """Rows with 0 to 20 present values, gaps of None between them and
+    magnitudes far apart: each agg_* cell holds exactly the float a call on
+    that row's present values alone gives."""
+    rng = np.random.default_rng(12)
+    traces = []
+    for c in range(60):
+        n_events = int(rng.integers(1, 27))
+        amounts = (rng.normal(size=n_events) * 10.0 ** rng.integers(-3, 7, size=n_events)).tolist()
+        for i in np.flatnonzero(rng.random(n_events) < 0.25):
+            amounts[i] = None
+        traces.append(make_trace(f"c{c}", ["A"] * n_events, amounts=amounts))
+    prefixes = extract_prefixes(EventLog(SIMPLE_SCHEMA, tuple(traces)), 1, 26)
+    m = encode(prefixes, SIMPLE_SCHEMA, AGGREGATE, SIMPLE_VOCAB)
+    col = {name: j for j, name in enumerate(m.feature_names())}
+    seen = set()
+    for r, entry in enumerate(prefixes.entries):
+        present = np.asarray([ev.dynamic_attrs["amount"] for ev in entry.trace.events
+                              if ev.dynamic_attrs["amount"] is not None], dtype=np.float64)
+        seen.add(len(present))
+        expected = {"min": np.nan, "max": np.nan, "mean": np.nan, "std": np.nan}
+        if len(present):
+            expected = {"min": present.min(), "max": present.max(), "mean": present.mean(),
+                        "std": present.std(ddof=1) if len(present) > 1 else 0.0}
+        for stat, value in expected.items():
+            got = m.rows[r, col[f"amount#{stat}"]]
+            assert np.float64(got).tobytes() == np.float64(value).tobytes(), (r, stat)
+    assert set(range(21)) <= seen
+
+
 def test_index_onehot_hand_checked():
     trace = make_trace("c1", ["A", "B"], amounts=[1.0, 2.0])
     m = encode(one_trace_bucket(trace), SIMPLE_SCHEMA, INDEX_BASED, SIMPLE_VOCAB,

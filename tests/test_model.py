@@ -395,10 +395,41 @@ def test_gbt_exact_ties_pick_the_first_candidate(columns, split_cells, monkeypat
     GBTConfig(n_trees=12, max_depth=4, min_leaf=3, subsample=0.7, seed=5),
     GBTConfig(n_trees=8, max_depth=3, min_leaf=1),
     GBTConfig(n_trees=8, max_depth=2, min_leaf=7, learning_rate=0.5),
+    # long enough that later trees repeat, and differ from, earlier split paths
+    GBTConfig(n_trees=40, max_depth=3, min_leaf=3),
+    GBTConfig(n_trees=40, max_depth=3, min_leaf=3, subsample=0.7, seed=2),
 ])
 def test_gbt_bit_identical_to_reference_loop(config):
     matrix = _awkward_matrix()
     model = train_gbt(matrix, config)
+    _assert_same_model(model, _reference_train(matrix, config), _queries(matrix))
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.7])
+def test_gbt_reuses_node_structure_only_on_the_same_rows(subsample, monkeypatch):
+    """A tree grown on the previous tree's rows builds the candidates of a
+    split path they share once; a tree on other rows builds all of its own."""
+    counts = {"searches": 0, "built": 0}
+
+    def counting(name, key):
+        method = getattr(model_module._TreeBuilder, name)
+
+        def wrapper(self, *args):
+            counts[key] += 1
+            return method(self, *args)
+        monkeypatch.setattr(model_module._TreeBuilder, name, wrapper)
+
+    counting("_best_split", "searches")
+    counting("_candidates", "built")
+    matrix = _awkward_matrix()
+    config = GBTConfig(n_trees=20, max_depth=3, min_leaf=3, subsample=subsample, seed=2)
+    model = train_gbt(matrix, config)
+    assert counts["searches"] > config.n_trees
+    if subsample == 1.0:
+        assert counts["built"] < counts["searches"]
+    else:
+        assert counts["built"] == counts["searches"]
+    monkeypatch.undo()
     _assert_same_model(model, _reference_train(matrix, config), _queries(matrix))
 
 
