@@ -22,6 +22,13 @@ predict each distinct restricted composite once: all 2^|D_b| of them per b
 in the exact regime, and those the sampled walks reach in the sampled one.
 Every value is the one predicting all composites would give, bit for bit;
 for an opaque callable D_b is every feature.
+
+The Shapley explainer's working memory grows with the distinct composites,
+not with the composites it stands for. The sampled regime holds the walks'
+permutations as small integers and one entry per walk start and per step
+that changes a walk's composite; the exact regime holds the 2^|D_b|
+predictions of each b and the 2^d coalition values. On top of that, either
+regime builds at most `_SCRATCH_CELLS` composite cells (rows x d) at a time.
 """
 
 from __future__ import annotations
@@ -48,8 +55,7 @@ SURROGATE_ID = "surrogate"
 SHAPLEY_ID = "shapley"
 
 _PREDICTION_SPREAD_TOL = 1e-12  # below this the neighborhood carries no signal
-_EXACT_ROW_BUDGET = 262144  # composite rows per predict call in exact mode
-_PERMUTATION_ROW_BUDGET = 8192  # composite rows per predict call in sampled mode
+_SCRATCH_CELLS = 1 << 15  # composite cells (rows x d) built at a time, in both regimes
 _KEY_BITS = 31  # coalition bits per word of a sampled-walk step's key
 
 
@@ -201,10 +207,16 @@ class ShapleyConfig:
         object.__setattr__(self, "background", bg)
         if bg.shape[0] == 0:
             raise EmptyBackground("shapley needs a non-empty background sample")
-        if self.exact_max_d > 20:
-            raise InvalidSpec("exact coalition enumeration is capped at d = 20")
-        if self.n_permutations < 1:
-            raise InvalidSpec("n_permutations must be >= 1")
+        check_shapley_options(self.exact_max_d, self.n_permutations)
+
+
+def check_shapley_options(exact_max_d: int = 15, n_permutations: int = 2000) -> None:
+    """Refuse the Shapley options that `ShapleyConfig` refuses."""
+    if not 0 <= exact_max_d <= 20:
+        raise InvalidSpec(f"exact_max_d must be in 0..20 (exact coalition enumeration "
+                          f"is capped at d = 20), got {exact_max_d}")
+    if n_permutations < 1:
+        raise InvalidSpec(f"n_permutations must be >= 1, got {n_permutations}")
 
 
 def sample_neighborhood(row: np.ndarray, stats: MatrixStats, n_samples: int,
@@ -371,23 +383,27 @@ def _exact_shapley(predict, row: np.ndarray, background: np.ndarray,
     sizes = np.left_shift(1, differs.sum(axis=1), dtype=np.int64)
     offset = np.cumsum(sizes) - sizes
     distinct = np.empty(int(sizes.sum()))
-    for start in range(0, distinct.size, _EXACT_ROW_BUDGET):
-        idx = np.arange(start, min(start + _EXACT_ROW_BUDGET, distinct.size))
+    rows = max(1, _SCRATCH_CELLS // d)
+    for start in range(0, distinct.size, rows):
+        idx = np.arange(start, min(start + rows, distinct.size))
         b = np.searchsorted(offset, idx, side="right") - 1
         take = differs[b] & (((idx - offset[b])[:, None] >> place[b]) & 1).astype(bool)
-        distinct[idx] = predict(np.where(take, row[None, :], background[b]))
+        distinct[start:start + idx.size] = predict(np.where(take, row[None, :], background[b]))
 
-    # v(S) = mean over b of the prediction of S restricted to D_b
+    # v(S) = mean over b of the prediction of S restricted to D_b, gathered
+    # for one chunk of coalitions at a time
     weight = np.where(differs, np.left_shift(1, place), 0).T  # (d, n_bg)
     v = np.empty(n_masks)
-    chunk = max(1, _EXACT_ROW_BUDGET // n_bg)
-    masks = np.arange(n_masks, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(d)[None, :]) & 1  # (n_masks, d)
+    counts = np.empty(n_masks, dtype=np.int8)  # |S|
+    chunk = max(1, _SCRATCH_CELLS // max(d, n_bg))  # bits is (chunk, d), codes (chunk, n_bg)
     for start in range(0, n_masks, chunk):
-        codes = bits[start:start + chunk] @ weight + offset  # (b, n_bg)
-        v[start:start + chunk] = distinct[codes].mean(axis=1)
+        masks = np.arange(start, min(start + chunk, n_masks), dtype=np.int64)
+        bits = (masks[:, None] >> np.arange(d)[None, :]) & 1  # (chunk, d)
+        v[start:start + chunk] = distinct[bits @ weight + offset].mean(axis=1)
+        counts[start:start + chunk] = bits.sum(axis=1)
+    del distinct
 
-    counts = bits.sum(axis=1)
+    masks = np.arange(n_masks, dtype=np.int64)
     fact = [math.factorial(s) for s in range(d + 1)]
     coeff = np.array([fact[s] * fact[d - 1 - s] / fact[d] for s in range(d)])
     phi = np.zeros(d)
@@ -403,42 +419,60 @@ def _sampled_shapley(predict, row: np.ndarray, background: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
     d = row.shape[0]
     n_bg = background.shape[0]
-    perms = np.empty((n_permutations, d), dtype=np.int64)
+    index = np.int16 if d < 1 << 15 else np.int32  # holds every column and d itself
+    perms = np.empty((n_permutations, d), dtype=index)
     base = np.empty(n_permutations, dtype=np.int64)
     for p in range(n_permutations):
         perms[p] = rng.permutation(d)
         base[p] = rng.integers(0, n_bg)
-    position = np.empty_like(perms)
-    position[np.arange(n_permutations)[:, None], perms] = np.arange(d)
 
-    # Step t of walk p takes the set S of the first t features of perms[p]
-    # from `row`. Its composite reaches the same leaves as its restriction
-    # to D_b of the walk's background row b, so its value depends only on b
-    # and S ∩ D_b. Key each step by b and the bits of S ∩ D_b, 31 bits to a
-    # word, folding each word in by its np.unique rank so that keys stay
-    # exact at any |D_b|, and predict one restricted composite per key. A
-    # step that adds a feature outside D_b keeps the key of the step before
-    # it, so its gain is exactly 0.
-    added = differs[base[:, None], perms]
-    place = (np.cumsum(differs, axis=1) - 1)[base[:, None], perms]  # bit of perms[p, t]
-    key = np.repeat(base, d + 1)
-    masks = np.zeros((n_permutations, d + 1), dtype=np.int64)
+    # Step t of walk p takes the set S of the first t + 1 features of
+    # perms[p] from `row`. Its composite reaches the same leaves as its
+    # restriction to D_b of the walk's background row b, so its value
+    # depends only on b and S ∩ D_b. Only a step that adds a feature of D_b
+    # (a change point) changes that value; every other step's gain is
+    # exactly +0.0, and phi, which starts at +0.0, is the same without it.
+    # So keep one entry per walk start and one per change point, in walk
+    # order. Key each entry by b and the bits of S ∩ D_b, 31 bits to a word,
+    # folding each word in by its np.unique rank so that keys stay exact at
+    # any |D_b|, and predict one restricted composite per key.
+    walk, step = np.nonzero(differs[base[:, None], perms])
+    feature = perms[walk, step]
+    place = (np.cumsum(differs, axis=1, dtype=index) - 1)[base[walk], feature]  # bit in D_b
+    lengths = np.bincount(walk, minlength=n_permutations) + 1  # entries per walk
+    starts = np.cumsum(lengths) - lengths
+    changed = np.ones(int(lengths.sum()), dtype=bool)
+    changed[starts] = False
+    size = np.zeros(changed.size, dtype=index)  # |S| after each entry
+    size[changed] = step + 1
+    del walk, step
+
+    key = np.repeat(base, lengths)
     n_words = max(1, -(-int(differs.sum(axis=1).max()) // _KEY_BITS))  # ceil, at least 1
     for word in range(n_words):
-        bits = added & (place // _KEY_BITS == word)
-        np.cumsum(np.where(bits, np.left_shift(1, place % _KEY_BITS), 0), axis=1,
-                  out=masks[:, 1:])
-        _, first, key = np.unique((key << _KEY_BITS) | masks.ravel(),
+        masks = np.zeros(changed.size, dtype=np.int64)
+        masks[changed] = np.where(place // _KEY_BITS == word,
+                                  np.left_shift(1, place % _KEY_BITS, dtype=np.int64), 0)
+        np.cumsum(masks, out=masks)
+        masks -= np.repeat(masks[starts], lengths)  # restart at each walk
+        _, first, key = np.unique((key << _KEY_BITS) | masks,
                                   return_index=True, return_inverse=True)
+    del masks, place
+
     preds = np.empty(first.size)
-    for start in range(0, first.size, _PERMUTATION_ROW_BUDGET):
-        w, s = np.divmod(first[start:start + _PERMUTATION_ROW_BUDGET], d + 1)
-        take = differs[base[w]] & (position[w] < s[:, None])
-        preds[start:start + w.size] = predict(np.where(take, row[None, :], background[base[w]]))
-    gains = np.diff(preds[key].reshape(n_permutations, d + 1), axis=1)
+    rows = max(1, _SCRATCH_CELLS // d)
+    for start in range(0, first.size, rows):
+        entry = first[start:start + rows]
+        w = np.searchsorted(starts, entry, side="right") - 1
+        position = np.empty((entry.size, d), dtype=index)
+        position[np.arange(entry.size)[:, None], perms[w]] = np.arange(d)
+        take = differs[base[w]] & (position < size[entry][:, None])
+        preds[start:start + entry.size] = predict(
+            np.where(take, row[None, :], background[base[w]]))
+    gains = np.diff(preds[key])[changed[1:]]
 
     phi = np.zeros(d)
-    np.add.at(phi, perms.ravel(), gains.ravel())  # in walk order, as a loop over p would
+    np.add.at(phi, feature, gains)  # in walk order, as a loop over p would
     return phi / n_permutations
 
 
@@ -461,6 +495,12 @@ def explain_shapley(model, row: np.ndarray, config: ShapleyConfig,
     gathers v(S) from them; the sampled regime keys every walk step by b
     and S ∩ D_b and predicts one restriction per distinct key. Both give
     the same values, bit for bit, as predicting every composite.
+
+    Scratch memory is bounded by those distinct restrictions, not by
+    n_permutations x d or 2^d x n_background: the sampled regime keeps one
+    entry per walk start and per step that adds a feature of D_b, the exact
+    regime the 2^|D_b| predictions per b and 2^d coalition values, and each
+    predict call gets at most `_SCRATCH_CELLS // d` composite rows.
     """
     predict = _as_predict_fn(model)
     row = np.asarray(row, dtype=np.float64)

@@ -58,6 +58,7 @@ from .explain import (
     ExplanationSet,
     ShapleyConfig,
     SurrogateConfig,
+    check_shapley_options,
     derive_seed,
     explain_shapley,
     explain_surrogate,
@@ -161,12 +162,22 @@ class ExplainerSpec:
 
     @classmethod
     def from_dict(cls, doc: dict, label: str) -> "ExplainerSpec":
-        """Validated spec: a known id and options of the documented types."""
+        """Validated spec: a known id, and options of the documented types
+        whose values the explainer accepts."""
         eid = doc.get("id") if isinstance(doc, dict) else None
         if type(eid) is not str or eid not in _EXPLAINER_OPTIONS:
             raise InvalidSpec(f"an explainer needs a known id, got {doc!r}")
         options = {k: v for k, v in doc.items() if k != "id"}
         check_options(options, _EXPLAINER_OPTIONS[eid], eid)
+        # refused here, a bad value fails the config, not each bucket of a run
+        if eid == SURROGATE_ID:
+            SurrogateConfig(**options)
+        else:
+            shapley = dict(options)
+            for name in ("n_background", "reference_size"):
+                if shapley.pop(name, 1) < 1:
+                    raise InvalidSpec(f"{name} must be >= 1, got {options[name]}")
+            check_shapley_options(**shapley)
         return cls(explainer_id=eid, label=label, options=options)
 
     def to_dict(self) -> dict:
@@ -504,9 +515,7 @@ def build_explain_fn(spec: ExplainerSpec, train_matrix: FeatureMatrix,
 
     options = dict(spec.options)
     n_background = options.pop("n_background", 16)
-    reference_size = options.pop("reference_size", 100)
-    if n_background < 1 or reference_size < 1:
-        raise InvalidSpec("n_background and reference_size must be >= 1")
+    options.pop("reference_size", None)
     bg_rng = np.random.default_rng(
         derive_seed(global_seed, _sc("background"), *seed_path))
     n_bg = min(n_background, train_matrix.n)

@@ -524,6 +524,32 @@ MALFORMED_INPUTS = {
         lambda ws, tmp: _run(ws, tmp, explainers=[{"id": "surrogate", "n_samples": 300,
                                                    "kernel_width": float("nan")}]),
         2, "config.json"),
+    "run-too-few-surrogate-samples": (
+        lambda ws, tmp: _run(ws, tmp, explainers=[{"id": "surrogate", "n_samples": 99}]),
+        2, "config.json"),
+    "run-zero-surrogate-k": (
+        lambda ws, tmp: _run(ws, tmp, explainers=[{"id": "surrogate", "n_samples": 300,
+                                                   "k": 0}]),
+        2, "config.json"),
+    "run-negative-kernel-width": (
+        lambda ws, tmp: _run(ws, tmp, explainers=[{"id": "surrogate", "n_samples": 300,
+                                                   "kernel_width": -1.0}]),
+        2, "config.json"),
+    "run-zero-n-background": (
+        lambda ws, tmp: _run(ws, tmp, explainers=[{"id": "shapley", "n_background": 0}]),
+        2, "config.json"),
+    "run-zero-reference-size": (
+        lambda ws, tmp: _run(ws, tmp, explainers=[{"id": "shapley", "reference_size": 0}]),
+        2, "config.json"),
+    "run-zero-n-permutations": (
+        lambda ws, tmp: _run(ws, tmp, explainers=[{"id": "shapley", "n_permutations": 0}]),
+        2, "config.json"),
+    "run-exact-max-d-above-cap": (
+        lambda ws, tmp: _run(ws, tmp, explainers=[{"id": "shapley", "exact_max_d": 25}]),
+        2, "config.json"),
+    "run-negative-exact-max-d": (
+        lambda ws, tmp: _run(ws, tmp, explainers=[{"id": "shapley", "exact_max_d": -1}]),
+        2, "config.json"),
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ from exqual import explain
 from exqual.encoding import FeatureDescriptor, FeatureMatrix, MatrixStats
 from exqual.errors import EmptyBackground, InvalidSpec, WidthMismatch
 from exqual.explain import (
-    _EXACT_ROW_BUDGET,
-    _PERMUTATION_ROW_BUDGET,
+    _SCRATCH_CELLS,
     Attribution,
     Explanation,
     ExplanationSet,
@@ -169,13 +169,17 @@ def test_sampled_shapley_efficiency_within_mc_tolerance_and_deterministic():
     assert abs(exp.weight_vector().sum() - target) <= tol
 
 
+REFERENCE_EXACT_ROWS = 262144  # composite rows per predict call, exact reference
+REFERENCE_WALK_ROWS = 8192  # composite rows per predict call, sampled reference
+
+
 def reference_exact_shapley(predict, row, background):
     """Exact Shapley that predicts all 2^d x n_bg composites."""
     d = row.shape[0]
     n_masks = 1 << d
     n_bg = background.shape[0]
     v = np.empty(n_masks)
-    chunk = max(1, _EXACT_ROW_BUDGET // n_bg)
+    chunk = max(1, REFERENCE_EXACT_ROWS // n_bg)
     masks = np.arange(n_masks, dtype=np.int64)
     bits = (masks[:, None] >> np.arange(d)[None, :]) & 1  # (n_masks, d)
     for start in range(0, n_masks, chunk):
@@ -200,7 +204,7 @@ def reference_sampled_shapley(predict, row, background, n_permutations, rng):
     d = row.shape[0]
     n_bg = background.shape[0]
     phi = np.zeros(d)
-    batch = max(1, _PERMUTATION_ROW_BUDGET // (d + 1))
+    batch = max(1, REFERENCE_WALK_ROWS // (d + 1))
     done = 0
     while done < n_permutations:
         b = min(batch, n_permutations - done)
@@ -298,8 +302,8 @@ def test_sampled_shapley_predicts_each_distinct_composite_once(monkeypatch):
     assert differs.sum(axis=1).max() < d
     expected = distinct_walk_composites(differs, cfg.n_permutations,
                                         np.random.default_rng(4))
-    assert sum(calls) == expected > _PERMUTATION_ROW_BUDGET
-    assert max(calls) <= _PERMUTATION_ROW_BUDGET
+    assert sum(calls) == expected > _SCRATCH_CELLS // d
+    assert max(calls) <= _SCRATCH_CELLS // d
 
 
 def test_sampled_shapley_two_word_keys_bit_identical_for_opaque_model():
@@ -316,11 +320,91 @@ def test_sampled_shapley_two_word_keys_bit_identical_for_opaque_model():
     exp = explain_shapley(predict, row, cfg, seed=6)
     expected = distinct_walk_composites(np.ones((16, d), dtype=bool), cfg.n_permutations,
                                         np.random.default_rng(6))
-    assert sum(calls) == expected > _PERMUTATION_ROW_BUDGET
-    assert max(calls) <= _PERMUTATION_ROW_BUDGET
+    assert sum(calls) == expected > _SCRATCH_CELLS // d
+    assert max(calls) <= _SCRATCH_CELLS // d
     reference = reference_sampled_shapley(predict, row, bg, cfg.n_permutations,
                                           np.random.default_rng(6))
     assert np.array_equal(exp.weight_vector(), reference)
+
+
+def test_sampled_shapley_two_word_keys_bit_identical_on_gbt():
+    d = 40
+    rng = np.random.default_rng(12)
+    rows = rng.normal(size=(300, d))
+    rows[rng.random(size=rows.shape) < 0.1] = np.nan
+    y = (np.nan_to_num(rows).sum(axis=1) > 0).astype(int)
+    model = train_gbt(matrix_from(rows, y), GBTConfig(n_trees=80, max_depth=3, min_leaf=5))
+    row, bg = rows[100], rows[:16]
+    sizes = routing_differs(model, row, bg).sum(axis=1)
+    assert sizes.min() < d and sizes.max() > 31  # tree-aware keys of two words
+    predict = lambda block: predict_proba_rows(model, block)
+    cfg = ShapleyConfig(background=bg, n_permutations=300)
+    exp = explain_shapley(model, row, cfg, seed=2)
+    expected = reference_sampled_shapley(predict, row, bg, cfg.n_permutations,
+                                         np.random.default_rng(2))
+    assert np.array_equal(exp.weight_vector(), expected)
+
+
+@pytest.mark.parametrize("d, copies", [(12, 1), (12, 16), (19, 1), (19, 16)])
+def test_shapley_bit_identical_when_background_rows_route_like_the_instance(d, copies):
+    # the instance itself in the background: its differs row is all False,
+    # so its coalitions all predict alike (every b's, with 16 copies)
+    model, rows, bg = gbt_with_missing(d, 30)
+    row = rows[120]
+    bg = bg.copy()
+    bg[:copies] = row
+    assert not routing_differs(model, row, bg)[:copies].any()
+    predict = lambda block: predict_proba_rows(model, block)
+    cfg = ShapleyConfig(background=bg, n_permutations=200)
+    exp = explain_shapley(model, row, cfg, seed=5)
+    if d <= cfg.exact_max_d:
+        expected = reference_exact_shapley(predict, row, bg)
+    else:
+        expected = reference_sampled_shapley(predict, row, bg, cfg.n_permutations,
+                                             np.random.default_rng(5))
+    assert np.array_equal(exp.weight_vector(), expected)
+    assert (copies < 16) == exp.weight_vector().any()
+
+
+def traced_peak(fn):
+    """Peak traced allocation while fn runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_shapley_scratch_does_not_grow_with_walks_times_width():
+    d = 300
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(200, d))
+    y = (rows[:, 0] + rows[:, 1] > 0).astype(int)
+    model = train_gbt(matrix_from(rows, y), GBTConfig(n_trees=5, max_depth=2, min_leaf=5))
+    cfg = ShapleyConfig(background=rows[:16])  # 2000 walks
+    explain_shapley(model, rows[100], cfg, seed=1)  # packs the trees
+    peak = traced_peak(lambda: explain_shapley(model, rows[100], cfg, seed=1))
+    # the 1.1 MiB of int16 walks, their D_b lookup and one composite chunk;
+    # int64 per-step arrays of 2000 x 301 keys would take 4.6 MiB each
+    assert peak < 3 * 2**20
+
+
+def test_exact_shapley_scratch_does_not_grow_with_composite_batch():
+    d = 15
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(300, d))
+    y = (np.sin(rows[:, :8]).sum(axis=1) + rng.normal(size=300) > 0).astype(int)
+    model = train_gbt(matrix_from(rows, y), GBTConfig(n_trees=30, max_depth=6, min_leaf=2))
+    row, bg = rows[150], rows[:4]
+    sizes = routing_differs(model, row, bg).sum(axis=1)
+    assert sizes.sum() >= 4 * 12  # deep trees: about 60k distinct composites
+    cfg = ShapleyConfig(background=bg)
+    explain_shapley(model, row, cfg)
+    peak = traced_peak(lambda: explain_shapley(model, row, cfg))
+    # 0.5 MiB of distinct predictions, 2^15 coalition values and one chunk;
+    # a single batch of every composite would take 7 MiB per (rows, d) array
+    assert peak < 3 * 2**20
 
 
 def test_routing_differs_all_true_without_trees():
@@ -344,15 +428,16 @@ def test_exact_shapley_keeps_row_budget_for_opaque_model():
 
     exp = explain_shapley(predict, row, ShapleyConfig(background=bg))
     assert sum(calls) == 16 << d  # no routing is known: every composite
-    assert max(calls) <= _EXACT_ROW_BUDGET
+    assert max(calls) <= _SCRATCH_CELLS // d
     assert np.array_equal(exp.weight_vector(), reference_exact_shapley(predict, row, bg))
 
 
 def test_shapley_input_validation():
     with pytest.raises(EmptyBackground):
         ShapleyConfig(background=np.zeros((0, 3)))
-    with pytest.raises(InvalidSpec):
-        ShapleyConfig(background=np.zeros((1, 3)), exact_max_d=25)
+    for exact_max_d in (-1, 21):
+        with pytest.raises(InvalidSpec):
+            ShapleyConfig(background=np.zeros((1, 3)), exact_max_d=exact_max_d)
     cfg = ShapleyConfig(background=np.zeros((2, 3)))
     with pytest.raises(WidthMismatch):
         explain_shapley(lambda r: r[:, 0], np.ones(4), cfg)
