@@ -64,7 +64,7 @@ from .model import (
     train_gbt,
     write_model,
 )
-from .synthetic import generate_synthetic_log
+from .synthetic import check_gen_spec, generate_synthetic_log
 
 
 def _model_matrix(model, basepath: str):
@@ -98,7 +98,7 @@ def _explanation_paths(directory: str) -> list[str]:
 # ---------------------------------------------------------------- commands
 
 def _cmd_synth(args) -> int:
-    gen_spec = read_json(args.gen_spec, "generator spec")
+    gen_spec = read_json(args.gen_spec, "generator spec", check_gen_spec)
     log = generate_synthetic_log(gen_spec, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "log.csv")

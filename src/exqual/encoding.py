@@ -23,7 +23,6 @@ from .errors import AllMissingColumn, EmptyBucket, InvalidSpec, read_json, write
 from .eventlog import CATEGORICAL, NUMERIC, EventLog, LogSchema, PrefixLog
 
 OTHER_CATEGORY = "__other__"
-ELAPSED_ATTR = "__elapsed__"
 
 AGG_STATS = ("min", "max", "mean", "std")
 
@@ -182,7 +181,7 @@ def _categories_with_other(vocab: CategoryVocabulary, attr: str) -> list[str]:
 
 
 def _build_descriptors(schema: LogSchema, method: str, vocab: CategoryVocabulary,
-                       max_len: int, include_elapsed_time: bool) -> list[FeatureDescriptor]:
+                       max_len: int) -> list[FeatureDescriptor]:
     descs: list[FeatureDescriptor] = []
 
     def add(source, encoder, category=None, event_index=None):
@@ -197,8 +196,6 @@ def _build_descriptors(schema: LogSchema, method: str, vocab: CategoryVocabulary
 
     dyn = [(schema.activity_column, CATEGORICAL)]
     dyn += [(a.name, a.dtype) for a in schema.dynamic_attrs]
-    if include_elapsed_time:
-        dyn.append((ELAPSED_ATTR, NUMERIC))
     dyn.sort(key=lambda t: t[0])
 
     for name, dtype in dyn:
@@ -220,20 +217,9 @@ def _build_descriptors(schema: LogSchema, method: str, vocab: CategoryVocabulary
     return descs
 
 
-def _dynamic_values(trace, name: str):
-    """Per-event values of one dynamic attribute over a (truncated) trace."""
-    if name == ELAPSED_ATTR:
-        out = [0.0]
-        for prev, cur in zip(trace.events, trace.events[1:]):
-            out.append((cur.timestamp - prev.timestamp).total_seconds())
-        return out[: len(trace.events)]
-    return [ev.dynamic_attrs.get(name) for ev in trace.events]
-
-
 def encode(bucket_log: PrefixLog, schema: LogSchema, method: str,
            vocab: CategoryVocabulary, bucket_id: str = "all",
-           index_padding_len: int | None = None,
-           include_elapsed_time: bool = False) -> FeatureMatrix:
+           index_padding_len: int | None = None) -> FeatureMatrix:
     """Encode one bucket of prefixes into a feature matrix.
 
     method "aggregate": per categorical dynamic attribute one occurrence
@@ -253,16 +239,15 @@ def encode(bucket_log: PrefixLog, schema: LogSchema, method: str,
         raise EmptyBucket(f"bucket {bucket_id!r} is empty")
 
     max_len = index_padding_len if index_padding_len is not None else bucket_log.max_prefix_length()
-    descs = _build_descriptors(schema, method, vocab, max_len, include_elapsed_time)
+    descs = _build_descriptors(schema, method, vocab, max_len)
     col_of = {(d.source_attr, d.encoder, d.category, d.event_index): d.column_index for d in descs}
     d = len(descs)
     n = len(bucket_log)
     rows = np.full((n, d), np.nan)
 
     static_attrs = sorted(schema.static_attrs, key=lambda a: a.name)
-    dyn_names = sorted([schema.activity_column] + [a.name for a in schema.dynamic_attrs]
-                       + ([ELAPSED_ATTR] if include_elapsed_time else []))
-    dyn_dtype = {schema.activity_column: CATEGORICAL, ELAPSED_ATTR: NUMERIC}
+    dyn_names = sorted([schema.activity_column] + [a.name for a in schema.dynamic_attrs])
+    dyn_dtype = {schema.activity_column: CATEGORICAL}
     dyn_dtype.update({a.name: a.dtype for a in schema.dynamic_attrs})
 
     # (attribute, number of present values) -> (rows, their present values):
@@ -284,8 +269,8 @@ def encode(bucket_log: PrefixLog, schema: LogSchema, method: str,
                     rows[r, col_of[(a.name, "static_onehot", cat, None)]] = float(cat == hit)
 
         for name in dyn_names:
-            values = _dynamic_values(trace, name) if name != schema.activity_column \
-                else [ev.activity for ev in trace.events]
+            values = [ev.dynamic_attrs.get(name) for ev in trace.events] \
+                if name != schema.activity_column else [ev.activity for ev in trace.events]
             if method == AGGREGATE:
                 if dyn_dtype[name] == CATEGORICAL:
                     known = vocab.for_attr(name)
@@ -385,7 +370,7 @@ class MatrixStats:
     domains: tuple  # per column: ObservedDomain or None
 
     @classmethod
-    def from_matrix(cls, matrix: FeatureMatrix, n_bins: int = 4) -> "MatrixStats":
+    def from_matrix(cls, matrix: FeatureMatrix) -> "MatrixStats":
         d = matrix.d
         means = np.zeros(d)
         scales = np.ones(d)
@@ -408,7 +393,7 @@ class MatrixStats:
                 p_one[j] = float((present == 1.0).mean())
                 edges.append(None)
             else:
-                qs = np.quantile(present, np.linspace(0.0, 1.0, n_bins + 1))
+                qs = np.quantile(present, np.linspace(0.0, 1.0, 5))  # quartile edges
                 edges.append(qs)
         return cls(means=means, scales=scales, p_one=p_one,
                    bin_edges=tuple(edges), domains=tuple(domains))

@@ -96,10 +96,6 @@ class DegenerateSubsetSize(DataError):
     pass
 
 
-class EmptySet(DataError):
-    pass
-
-
 class EmptyInput(DataError):
     pass
 

@@ -131,12 +131,6 @@ class Explanation:
             w[a.column_index] = a.weight
         return w
 
-    def top_k(self, k: int) -> tuple[int, ...]:
-        """Column indices of the k largest |weight| attributions; ties break
-        toward the lower column index."""
-        ranked = sorted(self.attributions, key=lambda a: (-abs(a.weight), a.column_index))
-        return tuple(a.column_index for a in ranked[:k])
-
     def to_dict(self) -> dict:
         return {
             "attributions": [a.to_dict() for a in self.attributions],

@@ -55,7 +55,6 @@ from .eventlog import (
 from .explain import (
     SHAPLEY_ID,
     SURROGATE_ID,
-    ExplanationSet,
     ShapleyConfig,
     SurrogateConfig,
     check_shapley_options,
@@ -67,7 +66,7 @@ from .explain import (
 from .metrics import aggregate as aggregate_scores
 from .metrics import evaluate_instance
 from .model import MODEL_OPTIONS, GBTConfig, evaluate_accuracy, train_gbt
-from .synthetic import generate_synthetic_log
+from .synthetic import check_gen_spec, generate_synthetic_log
 
 
 def _sc(text: str) -> int:
@@ -106,8 +105,11 @@ class DatasetSpec:
                 name = os.path.splitext(os.path.basename(doc["csv"]))[0]
             else:
                 name = f"synthetic-{index}"
+        gen_spec = doc.get("gen_spec")
+        if gen_spec is not None:
+            check_gen_spec(gen_spec)
         return cls(name=name, csv_path=doc.get("csv"),
-                   schema_path=doc.get("schema"), gen_spec=doc.get("gen_spec"))
+                   schema_path=doc.get("schema"), gen_spec=gen_spec)
 
 
 @dataclass(frozen=True)
@@ -475,8 +477,6 @@ def _run_task(task: _Task):
         es = repeat_explanations(ctx.assets.explain_fn, ctx.model, row,
                                  m=task.m, base_seed=task.base_seed)
         elapsed = time.perf_counter() - started
-        es = ExplanationSet(explanations=es.explanations,
-                            case_ref=(case_id, prefix_length))
         score = evaluate_instance(
             ctx.model, es, ctx.assets.region_matrix,
             train_stats=ctx.assets.train_stats, k=task.top_k,

@@ -23,15 +23,13 @@ from .errors import (
     DegenerateSubsetSize,
     EmptyInput,
     EmptySamplingDomain,
-    EmptySet,
     InvalidSpec,
 )
 from .explain import SURROGATE_ID, ExplanationSet, _as_predict_fn
 
 WEIGHT_MEAN_EPSILON = 1e-8  # denominator guard when |mean| ~ 0 but var > 0
 TARGET_FRACTION = 0.1  # perturb the top 10% most commonly selected columns
-DEFAULT_N_PERTURBATIONS = 10
-DEFAULT_SHAPLEY_BINS = 10  # decile binning of attribution values
+SHAPLEY_BINS = 10  # decile binning of attribution values
 
 FLAG_EPSILON_GUARD = "epsilon_guard"
 FLAG_DEGENERATE_EXPLANATION = "degenerate_explanation"
@@ -39,88 +37,54 @@ FLAG_INTERVAL_FALLBACK = "interval_fallback"
 
 
 @dataclass(frozen=True)
-class SubsetMatrix:
-    z: np.ndarray  # (M, d) 0/1 selection grid
-    k_per_row: np.ndarray  # (M,) actual selected count per explanation
-
-    def __post_init__(self):
-        if self.z.ndim != 2:
-            raise InvalidSpec("subset matrix must be 2-D")
-        if not np.array_equal(self.z.sum(axis=1), self.k_per_row):
-            raise InvalidSpec("row sums disagree with k_per_row")
-
-    @property
-    def m(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.z.shape[1]
-
-
-@dataclass(frozen=True)
-class WeightMatrix:
-    w: np.ndarray  # (M, d), 0 for unselected features
-
-    def __post_init__(self):
-        if self.w.ndim != 2 or not np.all(np.isfinite(self.w)):
-            raise InvalidSpec("weight matrix must be 2-D and finite")
-
-    @property
-    def m(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.w.shape[1]
-
-
-@dataclass(frozen=True)
 class StabilityScore:
-    case_ref: tuple[str, int] | None
     by_subset: float
     by_weight: float
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, ...]
 
     def __post_init__(self):
         if self.by_subset > 1.0 or self.by_weight > 1.0:
             raise InvalidSpec("stability scores cannot exceed 1")
 
 
-def build_subset_matrix(es: ExplanationSet, k: int) -> SubsetMatrix:
-    """Mark, per explanation, the k nonzero attributions largest by |weight|
-    (ties toward the lower column index). Explanations with fewer than k
-    nonzero weights contribute all of them; k_per_row records actuals."""
-    if len(es.explanations) == 0:
-        raise EmptySet("no explanations to build a subset matrix from")
+def build_subset_matrix(es: ExplanationSet, k: int) -> np.ndarray:
+    """(M, d) 0/1 selection grid: per explanation, the k nonzero attributions
+    largest by |weight| (ties toward the lower column index). Explanations
+    with fewer than k nonzero weights contribute all of them."""
     if k < 1:
         raise InvalidSpec(f"k must be >= 1, got {k}")
-    d = es.n_features
-    z = np.zeros((es.m, d), dtype=np.int8)
+    z = np.zeros((es.m, es.n_features), dtype=np.int8)
     for i, e in enumerate(es.explanations):
         nonzero = [a for a in e.attributions if a.weight != 0.0]
         nonzero.sort(key=lambda a: (-abs(a.weight), a.column_index))
         for a in nonzero[:k]:
             z[i, a.column_index] = 1
-    return SubsetMatrix(z=z, k_per_row=z.sum(axis=1))
+    return z
 
 
-def build_weight_matrix(es: ExplanationSet) -> WeightMatrix:
-    return WeightMatrix(w=np.vstack([e.weight_vector() for e in es.explanations]))
+def build_weight_matrix(es: ExplanationSet) -> np.ndarray:
+    """(M, d) attributed weights, 0 for unselected features."""
+    return np.vstack([e.weight_vector() for e in es.explanations])
 
 
-def stability_by_subset(subset: SubsetMatrix) -> float:
-    """1 - (mean per-column unbiased sample variance of the selection grid)
-    normalized by (kbar/d)(1 - kbar/d), kbar the mean selected count.
-    Equals 1 exactly when every repetition selected the same subset."""
-    m, d = subset.m, subset.d
-    if m < 2:
-        raise InvalidSpec(f"need M >= 2 explanations, got {m}")
-    kbar = float(subset.k_per_row.mean())
+def _check_grid(grid: np.ndarray, what: str) -> None:
+    if grid.ndim != 2 or not np.all(np.isfinite(grid)):
+        raise InvalidSpec(f"{what} matrix must be 2-D and finite")
+    if grid.shape[0] < 2:
+        raise InvalidSpec(f"need M >= 2 explanations, got {grid.shape[0]}")
+
+
+def stability_by_subset(z: np.ndarray) -> float:
+    """1 - (mean per-column unbiased sample variance of the (M, d) selection
+    grid z) normalized by (kbar/d)(1 - kbar/d), kbar the mean selected
+    count. Equals 1 exactly when every repetition selected the same subset."""
+    _check_grid(z, "subset")
+    d = z.shape[1]
+    kbar = float(z.sum(axis=1).mean())
     if kbar == 0.0 or kbar == float(d):
         raise DegenerateSubsetSize(
             f"mean subset size {kbar} of d={d} leaves a zero normalizer")
-    s2 = subset.z.astype(np.float64).var(axis=0, ddof=1)
+    s2 = z.astype(np.float64).var(axis=0, ddof=1)
     normalizer = (kbar / d) * (1.0 - kbar / d)
     value = 1.0 - float(s2.mean()) / normalizer
     assert value <= 1.0 + 1e-12
@@ -129,58 +93,49 @@ def stability_by_subset(subset: SubsetMatrix) -> float:
     return value
 
 
-def _weight_terms(weight: WeightMatrix) -> tuple[np.ndarray, bool]:
-    mu = weight.w.mean(axis=0)
-    var = weight.w.var(axis=0, ddof=1)
-    terms = np.zeros(weight.d)
-    guarded = False
-    for i in range(weight.d):
-        if var[i] == 0.0:
-            continue  # includes the 0/0 column convention: contributes 0
-        denom = abs(mu[i])
-        if denom < WEIGHT_MEAN_EPSILON:
-            denom = WEIGHT_MEAN_EPSILON
-            guarded = True
-        terms[i] = var[i] / denom
+def _weight_terms(w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Per-column var / |mean|, with |mean| raised to WEIGHT_MEAN_EPSILON,
+    and whether that guard acted. A zero-variance column contributes 0
+    (the 0/0 column included)."""
+    mu = w.mean(axis=0)
+    var = w.var(axis=0, ddof=1)
+    denom = np.abs(mu)
+    varies = var != 0.0
+    guarded = bool(np.any(varies & (denom < WEIGHT_MEAN_EPSILON)))
+    terms = np.where(varies, var / np.maximum(denom, WEIGHT_MEAN_EPSILON), 0.0)
     return terms, guarded
 
 
-def stability_by_weight(weight: WeightMatrix) -> float:
-    """1 - mean over columns of (unbiased weight variance / |mean weight|).
-    At most 1 (zero variance everywhere), unbounded below."""
-    if weight.m < 2:
-        raise InvalidSpec(f"need M >= 2 explanations, got {weight.m}")
-    terms, _ = _weight_terms(weight)
+def stability_by_weight(w: np.ndarray) -> float:
+    """1 - mean over columns of (unbiased weight variance / |mean weight|)
+    of the (M, d) weight grid w. At most 1 (zero variance everywhere),
+    unbounded below."""
+    _check_grid(w, "weight")
+    terms, _ = _weight_terms(w)
     return 1.0 - float(terms.mean())
 
 
-def score_stability(es: ExplanationSet, k: int = 10) -> StabilityScore:
+def score_stability(es: ExplanationSet, k: int) -> StabilityScore:
     """Both stability variants for one instance's repeated explanations."""
-    subset = build_subset_matrix(es, k)
-    weight = build_weight_matrix(es)
-    _, guarded = _weight_terms(weight)
+    z = build_subset_matrix(es, k)
+    w = build_weight_matrix(es)
+    by_weight = stability_by_weight(w)  # refuses a non-finite grid first
+    _, guarded = _weight_terms(w)
     flags = []
     if guarded:
         flags.append(FLAG_EPSILON_GUARD)
     if any(e.degenerate for e in es.explanations):
         flags.append(FLAG_DEGENERATE_EXPLANATION)
-    return StabilityScore(
-        case_ref=es.case_ref,
-        by_subset=stability_by_subset(subset),
-        by_weight=stability_by_weight(weight),
-        flags=tuple(flags),
-    )
+    return StabilityScore(by_subset=stability_by_subset(z), by_weight=by_weight,
+                          flags=tuple(flags))
 
 
-def select_perturbation_targets(es: ExplanationSet, k: int = 10) -> list[int]:
+def select_perturbation_targets(es: ExplanationSet, k: int) -> list[int]:
     """Columns selected most often across the M top-k subsets; budget is
     ceil(0.1 * d), at least 1. Ties rank by larger mean |weight|, then
     lower column index."""
-    if len(es.explanations) == 0:
-        raise EmptySet("no explanations to pick perturbation targets from")
-    subset = build_subset_matrix(es, k)
-    occurrences = subset.z.sum(axis=0)
-    mean_abs = np.abs(build_weight_matrix(es).w).mean(axis=0)
+    occurrences = build_subset_matrix(es, k).sum(axis=0)
+    mean_abs = np.abs(build_weight_matrix(es)).mean(axis=0)
     d = es.n_features
     budget = max(1, math.ceil(TARGET_FRACTION * d))
     order = sorted(range(d), key=lambda j: (-occurrences[j], -mean_abs[j], j))
@@ -190,9 +145,9 @@ def select_perturbation_targets(es: ExplanationSet, k: int = 10) -> list[int]:
 @dataclass(frozen=True)
 class InfluentialRegion:
     """Feature values an explanation marked influential for one column:
-    either a closed interval or, for binary indicators, the instance-value
-    complement expressed through `interval` = (v, v) with kind 'complement'
-    carrying the admissible values."""
+    a closed interval (kind 'interval', `interval` = (lo, hi)) or, for a
+    binary indicator, the complement of the instance's value (kind
+    'complement', `values` = the admissible values, and no interval)."""
 
     kind: str  # "interval" | "complement"
     interval: tuple[float, float] | None = None
@@ -208,64 +163,43 @@ class InfluentialRegion:
             raise InvalidSpec("complement regions need their admissible value set")
 
 
-def _instance_row(es: ExplanationSet, test_matrix: FeatureMatrix,
-                  row: np.ndarray | None) -> np.ndarray:
-    if row is not None:
-        return np.asarray(row, dtype=np.float64)
-    if es.case_ref is None:
-        raise InvalidSpec("need the instance row: explanation set has no case_ref")
-    idx = test_matrix.row_index(*es.case_ref)
-    return test_matrix.rows[idx]
-
-
 def _fallback_region(value: float, std: float) -> InfluentialRegion:
     return InfluentialRegion(kind="interval", interval=(value - std, value + std),
                              fallback=True)
 
 
 def influential_interval(es: ExplanationSet, column: int,
-                         test_matrix: FeatureMatrix,
-                         test_attributions: np.ndarray | None = None,
-                         row: np.ndarray | None = None,
-                         train_stats: MatrixStats | None = None,
-                         n_bins: int = DEFAULT_SHAPLEY_BINS) -> InfluentialRegion:
+                         region_matrix: FeatureMatrix,
+                         attributions: np.ndarray | None, row: np.ndarray,
+                         train_stats: MatrixStats) -> InfluentialRegion:
     """The feature-value region the explanations mark influential for one
-    column of one instance.
+    column of the instance `row`.
 
     Binary indicator columns always yield the complement of the instance's
     value. Surrogate sets yield the modal interval attached to the column
     across the M explanations. Attribution-value sets (Shapley) yield the
-    [min, max] of the column's values over the test instances whose
-    attribution for this column falls in the same n_bins-quantile bin as
-    this instance's mean attribution (test_attributions: that column's
-    attribution value per test row, aligned with test_matrix).
+    [min, max] of the column's values over the region_matrix rows whose
+    attribution for this column falls in the same SHAPLEY_BINS-quantile bin
+    as this instance's mean attribution (attributions: that column's
+    attribution value per region_matrix row; None for surrogate sets).
 
     When no region can be read off, falls back to the instance's value
-    plus/minus one training standard deviation, flagged."""
-    x = _instance_row(es, test_matrix, row)
-    value = float(x[column])
-    if train_stats is not None:
-        std = float(train_stats.scales[column])
-        if math.isnan(value):
-            value = float(train_stats.means[column])
-    else:
-        col = test_matrix.rows[:, column]
-        present = col[~np.isnan(col)]
-        std = float(present.std()) if present.size else 1.0
-        if std == 0.0:
-            std = 1.0
-        if math.isnan(value):
-            value = float(present.mean()) if present.size else 0.0
+    (the training mean when missing) plus/minus one training standard
+    deviation, flagged."""
+    value = float(row[column])
+    std = float(train_stats.scales[column])
+    if math.isnan(value):
+        value = float(train_stats.means[column])
 
     try:
-        domain = feature_domain(test_matrix, column)
+        domain = feature_domain(region_matrix, column)
     except AllMissingColumn:
         domain = None
     if domain is not None and domain.is_binary_indicator:
-        if math.isnan(float(x[column])):
+        if math.isnan(float(row[column])):
             allowed: tuple[float, ...] = (0.0, 1.0)  # missing cell: both values lie outside
         else:
-            allowed = tuple(v for v in (0.0, 1.0) if v != float(x[column]))
+            allowed = tuple(v for v in (0.0, 1.0) if v != float(row[column]))
         return InfluentialRegion(kind="complement", values=allowed)
 
     if es.explainer_id == SURROGATE_ID:
@@ -279,17 +213,15 @@ def influential_interval(es: ExplanationSet, column: int,
         return InfluentialRegion(kind="interval", interval=modal)
 
     # attribution-value binning (Shapley route)
-    if test_attributions is None:
-        return _fallback_region(value, std)
-    shap_col = np.asarray(test_attributions, dtype=np.float64)
-    if shap_col.shape[0] != test_matrix.n:
-        raise InvalidSpec("test_attributions must align with test_matrix rows")
+    shap_col = np.asarray(attributions, dtype=np.float64)
+    if shap_col.shape != (region_matrix.n,):
+        raise InvalidSpec("attributions must align with region_matrix rows")
     own = float(np.mean([e.weight_vector()[column] for e in es.explanations]))
-    edges = np.quantile(shap_col, np.linspace(0.0, 1.0, n_bins + 1))
+    edges = np.quantile(shap_col, np.linspace(0.0, 1.0, SHAPLEY_BINS + 1))
     inner = edges[1:-1]
     own_bin = int(np.searchsorted(inner, own, side="left"))
     member_bins = np.searchsorted(inner, shap_col, side="left")
-    values = test_matrix.rows[member_bins == own_bin, column]
+    values = region_matrix.rows[member_bins == own_bin, column]
     values = values[~np.isnan(values)]
     if values.size == 0:
         return _fallback_region(value, std)
@@ -299,7 +231,6 @@ def influential_interval(es: ExplanationSet, column: int,
 @dataclass(frozen=True)
 class PerturbationTarget:
     column_index: int
-    region: InfluentialRegion
     # sampling domain, disjoint from the influential region by construction:
     segments: tuple[tuple[float, float, bool], ...] = ()  # (lo, hi, open_left)
     values: tuple[float, ...] = ()  # discrete columns: explicit allowed values
@@ -311,10 +242,9 @@ class PerturbationTarget:
 
 @dataclass(frozen=True)
 class PerturbationPlan:
-    case_ref: tuple[str, int] | None
     targets: tuple[PerturbationTarget, ...]
-    n_perturbations: int = DEFAULT_N_PERTURBATIONS
-    flags: tuple[str, ...] = ()
+    n_perturbations: int
+    flags: tuple[str, ...]
 
     def __post_init__(self):
         if self.n_perturbations < 1:
@@ -358,57 +288,52 @@ def _integer_values(domain: ObservedDomain,
     return tuple(float(v) for v in allowed)
 
 
-def build_perturbation_plan(es: ExplanationSet, test_matrix: FeatureMatrix,
-                            train_stats: MatrixStats | None = None,
-                            k: int = 10,
-                            n_perturbations: int = DEFAULT_N_PERTURBATIONS,
-                            row: np.ndarray | None = None,
-                            attribution_matrix: np.ndarray | None = None,
-                            n_bins: int = DEFAULT_SHAPLEY_BINS) -> PerturbationPlan:
-    """Assemble the fidelity protocol's plan for one instance: the top 10%
-    most commonly selected columns, each with its influential region and a
-    sampling domain = observed domain minus that region (extended outward
+def build_perturbation_plan(es: ExplanationSet, region_matrix: FeatureMatrix,
+                            train_stats: MatrixStats, k: int, n_perturbations: int,
+                            row: np.ndarray,
+                            attribution_matrix: np.ndarray | None) -> PerturbationPlan:
+    """Assemble the fidelity protocol's plan for the instance `row`: the top
+    10% most commonly selected columns, each with its influential region and
+    a sampling domain = observed domain minus that region (extended outward
     when the region swallows the domain).
 
-    attribution_matrix: (n_test, d) per-test-row attribution values, needed
-    to infer regions for attribution-value explainers (Shapley)."""
+    attribution_matrix: (region_matrix.n, d) attribution values of the
+    region_matrix rows, which attribution-value explainers (Shapley) infer
+    regions from; None for surrogate sets."""
     targets = select_perturbation_targets(es, k)
     built = []
     flags: set[str] = set()
     for col in targets:
         attr_col = None if attribution_matrix is None else attribution_matrix[:, col]
-        region = influential_interval(es, col, test_matrix, test_attributions=attr_col,
-                                      row=row, train_stats=train_stats, n_bins=n_bins)
+        region = influential_interval(es, col, region_matrix, attr_col, row, train_stats)
         if region.fallback:
             flags.add(FLAG_INTERVAL_FALLBACK)
         if region.kind == "complement":
-            if not region.values:
-                raise EmptySamplingDomain(f"binary column {col} admits no complement value")
-            built.append(PerturbationTarget(col, region, values=region.values))
+            built.append(PerturbationTarget(col, values=region.values))
             continue
         try:
-            domain = feature_domain(test_matrix, col)
+            domain = feature_domain(region_matrix, col)
         except AllMissingColumn:
-            domain = train_stats.domains[col] if train_stats is not None else None
+            domain = train_stats.domains[col]
         if domain is None:
             raise AllMissingColumn(col)
         if domain.is_integer_valued:
             values = _integer_values(domain, region.interval)
             if not values:
                 raise EmptySamplingDomain(f"no integer values left for column {col}")
-            built.append(PerturbationTarget(col, region, values=values))
+            built.append(PerturbationTarget(col, values=values))
         else:
             segments = _continuous_segments(domain, region.interval)
-            built.append(PerturbationTarget(col, region, segments=segments))
-    return PerturbationPlan(case_ref=es.case_ref, targets=tuple(built),
-                            n_perturbations=n_perturbations, flags=tuple(sorted(flags)))
+            built.append(PerturbationTarget(col, segments=segments))
+    return PerturbationPlan(targets=tuple(built), n_perturbations=n_perturbations,
+                            flags=tuple(sorted(flags)))
 
 
 def perturb(row: np.ndarray, plan: PerturbationPlan,
             rng: np.random.Generator) -> np.ndarray:
     """One perturbed copy of the row: every target column is resampled
     uniformly from its sampling domain; everything else is untouched."""
-    out = np.asarray(row, dtype=np.float64).copy()
+    out = row.copy()
     for target in plan.targets:
         if target.values:
             out[target.column_index] = target.values[rng.integers(0, len(target.values))]
@@ -424,10 +349,8 @@ def perturb(row: np.ndarray, plan: PerturbationPlan,
 
 @dataclass(frozen=True)
 class FidelityScore:
-    case_ref: tuple[str, int] | None
     f: float
     y_original: float
-    deltas: tuple[float, ...]
 
     def __post_init__(self):
         if self.f < 0.0:
@@ -435,30 +358,22 @@ class FidelityScore:
 
 
 def fidelity(model, row: np.ndarray, plan: PerturbationPlan,
-             n: int | None = None, rng: np.random.Generator | None = None) -> FidelityScore:
+             rng: np.random.Generator) -> FidelityScore:
     """Mean absolute relative change of the predicted-class probability over
-    n perturbations of the row: F = mean |Y(x) - Y(x')| / Y(x), with Y the
-    probability of the class the model predicts for the original x (so
-    Y(x) >= 0.5 and each ratio stays below 2)."""
-    if n is None:
-        n = plan.n_perturbations
-    if n < 1:
-        raise InvalidSpec("need at least one perturbation")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    row = np.asarray(row, dtype=np.float64)
+    the plan's n_perturbations perturbations of the row: F = mean |Y(x) -
+    Y(x')| / Y(x), with Y the probability of the class the model predicts
+    for the original x (so Y(x) >= 0.5 and each ratio stays below 2)."""
     predict = _as_predict_fn(model)
 
     p = float(predict(row[None, :])[0])
     positive = p >= 0.5
     y0 = p if positive else 1.0 - p
 
-    perturbed = np.vstack([perturb(row, plan, rng) for _ in range(n)])
+    perturbed = np.vstack([perturb(row, plan, rng) for _ in range(plan.n_perturbations)])
     pp = np.asarray(predict(perturbed), dtype=np.float64)
     yp = pp if positive else 1.0 - pp
     deltas = np.abs(y0 - yp) / y0
-    return FidelityScore(case_ref=plan.case_ref, f=float(deltas.mean()),
-                         y_original=y0, deltas=tuple(float(v) for v in deltas))
+    return FidelityScore(f=float(deltas.mean()), y_original=y0)
 
 
 def aggregate(scores) -> dict:
@@ -480,41 +395,29 @@ def aggregate(scores) -> dict:
 
 @dataclass(frozen=True)
 class ScoreRecord:
-    """One evaluated instance: identifiers, original prediction, both
-    stability variants, fidelity, and any guard flags raised on the way."""
+    """One evaluated instance: original prediction, both stability
+    variants, fidelity, and any guard flags raised on the way."""
 
-    case_id: str
-    prefix_length: int
     y_original: float
     by_subset: float
     by_weight: float
     f: float
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, ...]
 
 
-def evaluate_instance(model, es: ExplanationSet, test_matrix: FeatureMatrix,
-                      train_stats: MatrixStats | None = None, k: int = 10,
-                      n_perturbations: int = DEFAULT_N_PERTURBATIONS,
-                      attribution_matrix: np.ndarray | None = None,
-                      rng: np.random.Generator | None = None,
-                      row: np.ndarray | None = None) -> ScoreRecord:
-    """Stability (both variants) plus fidelity for one instance's repeated
-    explanations; the one-row-per-instance record the report tables aggregate.
-
-    row overrides the case_ref lookup in test_matrix — pass it when
-    test_matrix is a reference subsample that may not hold the instance."""
-    if es.case_ref is None:
-        raise InvalidSpec("instance evaluation needs a case_ref")
+def evaluate_instance(model, es: ExplanationSet, region_matrix: FeatureMatrix,
+                      train_stats: MatrixStats, k: int, n_perturbations: int,
+                      attribution_matrix: np.ndarray | None,
+                      rng: np.random.Generator, row: np.ndarray) -> ScoreRecord:
+    """Stability (both variants) plus fidelity for the repeated explanations
+    es of the instance `row`; the one-row-per-instance record the report
+    tables aggregate. region_matrix, train_stats and attribution_matrix are
+    the explainer's assets (harness.build_explainer_assets)."""
     stability = score_stability(es, k)
-    if row is None:
-        row = test_matrix.rows[test_matrix.row_index(*es.case_ref)]
-    plan = build_perturbation_plan(es, test_matrix, train_stats=train_stats, k=k,
-                                   n_perturbations=n_perturbations, row=row,
-                                   attribution_matrix=attribution_matrix)
-    fid = fidelity(model, row, plan, rng=rng)
+    plan = build_perturbation_plan(es, region_matrix, train_stats, k, n_perturbations,
+                                   row, attribution_matrix)
+    fid = fidelity(model, row, plan, rng)
     return ScoreRecord(
-        case_id=es.case_ref[0],
-        prefix_length=es.case_ref[1],
         y_original=fid.y_original,
         by_subset=stability.by_subset,
         by_weight=stability.by_weight,

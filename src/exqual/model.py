@@ -524,8 +524,8 @@ def train_gbt(matrix: FeatureMatrix, config: GBTConfig = GBTConfig()) -> GBTMode
     )
 
 
-def predict_raw(model: GBTModel, rows: np.ndarray, n_trees: int | None = None) -> np.ndarray:
-    """Accumulated log-odds of the first n_trees trees (all by default).
+def predict_raw(model: GBTModel, rows: np.ndarray) -> np.ndarray:
+    """Accumulated log-odds of the model's trees.
 
     Walks every tree at once, one level per step, over blocks of at most
     _WALK_CELLS rows x trees, then adds the leaf values tree by tree to
@@ -535,7 +535,7 @@ def predict_raw(model: GBTModel, rows: np.ndarray, n_trees: int | None = None) -
     if rows.shape[1] != model.n_features:
         raise WidthMismatch(model.n_features, rows.shape[1])
     packed = model.packed
-    n_used = packed.feature[:n_trees].shape[0]
+    n_used = packed.feature.shape[0]
     out = np.full(rows.shape[0], model.base_score)
     if n_used == 0:
         return out

@@ -40,11 +40,8 @@ from exqual.explain import (
 )
 from exqual.harness import ExperimentConfig, emit_report, run_experiment
 from exqual.metrics import (
-    InfluentialRegion,
     PerturbationPlan,
     PerturbationTarget,
-    SubsetMatrix,
-    WeightMatrix,
     _continuous_segments,
     _integer_values,
     fidelity,
@@ -100,24 +97,21 @@ def test_criterion_01_metric_oracles():
         ks = z.sum(axis=1)
         if ks.sum() == 0 or ks.sum() == m * d:
             continue
-        got = stability_by_subset(SubsetMatrix(z=z, k_per_row=ks))
+        got = stability_by_subset(z)
         assert abs(got - _oracle_subset(z.tolist())) <= 1e-12
         w = rng.normal(size=(m, d)) * rng.random(d)
-        got_w = stability_by_weight(WeightMatrix(w=w))
+        got_w = stability_by_weight(w)
         assert abs(got_w - _oracle_weight(w.tolist())) <= 1e-12
         checked += 1
 
     def subset(rows):
-        z = np.asarray(rows, dtype=np.int8)
-        return stability_by_subset(SubsetMatrix(z=z, k_per_row=z.sum(axis=1)))
+        return stability_by_subset(np.asarray(rows, dtype=np.int8))
 
     assert subset([[1, 1, 0, 0], [1, 0, 1, 0]]) == 0.0
     assert abs(subset([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0]])
                - 1.0 / 3.0) <= 1e-12
-    assert stability_by_weight(WeightMatrix(w=np.array([[1.0, 0.0],
-                                                        [1.0, 1.0]]))) == 0.5
-    assert abs(stability_by_weight(WeightMatrix(w=np.array([[0.5], [2.5]])))
-               - (-1.0 / 3.0)) <= 1e-12
+    assert stability_by_weight(np.array([[1.0, 0.0], [1.0, 1.0]])) == 0.5
+    assert abs(stability_by_weight(np.array([[0.5], [2.5]])) - (-1.0 / 3.0)) <= 1e-12
     _passed(1, "500 random fixtures match independent oracles at 1e-12; "
                "hand-derived values exact")
 
@@ -264,15 +258,15 @@ def _manual_plan(matrix, stats, row, columns, width_frac=0.5):
         if math.isnan(value):
             value = float(stats.means[col])
         half = width_frac * float(stats.scales[col])
-        region = InfluentialRegion("interval", interval=(value - half, value + half))
+        interval = (value - half, value + half)
         domain = feature_domain(matrix, col)
         if domain.is_integer_valued:
-            values = _integer_values(domain, region.interval)
-            targets.append(PerturbationTarget(col, region, values=values))
+            values = _integer_values(domain, interval)
+            targets.append(PerturbationTarget(col, values=values))
         else:
-            segments = _continuous_segments(domain, region.interval)
-            targets.append(PerturbationTarget(col, region, segments=segments))
-    return PerturbationPlan(case_ref=None, targets=tuple(targets))
+            segments = _continuous_segments(domain, interval)
+            targets.append(PerturbationTarget(col, segments=segments))
+    return PerturbationPlan(targets=tuple(targets), n_perturbations=10, flags=())
 
 
 def test_criterion_05_fidelity_separates_informative_targets():
@@ -303,10 +297,8 @@ def test_criterion_05_fidelity_separates_informative_targets():
         gt_plan = _manual_plan(test_matrix, stats, row, gt_cols)
         rand_cols = list(rng.choice(other_cols, size=len(gt_cols), replace=False))
         rand_plan = _manual_plan(test_matrix, stats, row, rand_cols)
-        f_gt = fidelity(model, row, gt_plan, n=10,
-                        rng=np.random.default_rng(500 + i)).f
-        f_rand = fidelity(model, row, rand_plan, n=10,
-                          rng=np.random.default_rng(900 + i)).f
+        f_gt = fidelity(model, row, gt_plan, np.random.default_rng(500 + i)).f
+        f_rand = fidelity(model, row, rand_plan, np.random.default_rng(900 + i)).f
         wins += f_gt > f_rand
     assert n_eval == 100
     assert wins >= 90, f"ground-truth plan won only {wins}/100"

@@ -418,6 +418,34 @@ def _run(ws, tmp, **over):
     return ["run", "--config", str(tmp / "config.json"), "--out", str(tmp / "out")]
 
 
+def _gen_spec(**over):
+    spec = small_gen_spec()
+    spec.update(over)
+    return spec
+
+
+def _run_gen_spec(**over):
+    return lambda ws, tmp: _run(
+        ws, tmp, datasets=[{"name": "synthA", "gen_spec": _gen_spec(**over)}])
+
+
+def _synth(**over):
+    def build(ws, tmp):
+        (tmp / "gen.json").write_text(json.dumps(_gen_spec(**over)), encoding="utf-8")
+        return ["synth", "--gen-spec", str(tmp / "gen.json"), "--out", str(tmp / "data")]
+    return build
+
+
+def _numeric_attr(distribution):
+    return [{"name": "amount", "dtype": "numeric", "distribution": distribution}]
+
+
+def _score_rule(weight):
+    return {"kind": "score_threshold", "threshold": 1.0,
+            "terms": [{"feature": {"kind": "activity_count", "activity": "a"},
+                       "weight": weight}]}
+
+
 def _mistyped_bundle(ws, tmp):
     doc = {"aggregates": [{"dataset": "d", "bucketing": "single",
                            "encoding": "aggregate", "explainer": "surrogate",
@@ -550,6 +578,15 @@ MALFORMED_INPUTS = {
     "run-negative-exact-max-d": (
         lambda ws, tmp: _run(ws, tmp, explainers=[{"id": "shapley", "exact_max_d": -1}]),
         2, "config.json"),
+    "run-string-n-traces": (_run_gen_spec(n_traces="ten"), 2, "config.json"),
+    "run-misspelt-gen-spec-key": (_run_gen_spec(n_trace=10), 2, "config.json"),
+    "synth-trace-length-without-max": (_synth(trace_length={"min": 2}), 2, "gen.json"),
+    "synth-uniform-without-lo": (
+        _synth(static_attrs=_numeric_attr({"kind": "uniform", "hi": 1.0})), 2, "gen.json"),
+    "synth-int-activities": (_synth(activities=5), 2, "gen.json"),
+    "synth-string-missing-rate": (_synth(missing_rate="lots"), 2, "gen.json"),
+    "synth-string-term-weight": (_synth(label_rule=_score_rule("2")), 2, "gen.json"),
+    "synth-misspelt-key": (_synth(n_trace=10), 2, "gen.json"),
 }
 
 

@@ -406,15 +406,3 @@ def test_build_vocabulary_sorted_and_train_only():
     assert set(vocab.for_attr("activity")) <= {"a", "b", "c", "d"}
     assert CategoryVocabulary.from_dict(vocab.to_dict()) == vocab
 
-
-def test_elapsed_time_attribute_off_by_default():
-    trace = make_trace("c1", ["A", "B"], amounts=[1.0, 2.0])
-    m = encode(one_trace_bucket(trace), SIMPLE_SCHEMA, AGGREGATE, SIMPLE_VOCAB)
-    assert all("__elapsed__" not in n for n in m.feature_names())
-    m2 = encode(one_trace_bucket(trace), SIMPLE_SCHEMA, AGGREGATE, SIMPLE_VOCAB,
-                include_elapsed_time=True)
-    by_name = dict(zip(m2.feature_names(), m2.rows[0]))
-    # events are 10 minutes apart; first event contributes 0
-    assert by_name["__elapsed__#min"] == 0.0
-    assert by_name["__elapsed__#max"] == 600.0
-    assert by_name["__elapsed__#mean"] == 300.0

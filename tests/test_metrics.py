@@ -18,12 +18,12 @@ from exqual.explain import (
 )
 from exqual.metrics import (
     FLAG_EPSILON_GUARD,
-    InfluentialRegion,
+    FLAG_INTERVAL_FALLBACK,
+    WEIGHT_MEAN_EPSILON,
     PerturbationPlan,
     PerturbationTarget,
     StabilityScore,
-    SubsetMatrix,
-    WeightMatrix,
+    _weight_terms,
     aggregate,
     build_perturbation_plan,
     build_subset_matrix,
@@ -68,45 +68,60 @@ def oracle_weight_stability(rows):
     return 1 - total / d
 
 
-def make_set(weight_rows, d, explainer=SURROGATE_ID, intervals=None, case_ref=None):
+def reference_weight_terms(w):
+    """The per-column loop that metrics._weight_terms replaced, kept as its
+    bit-for-bit reference."""
+    mu = w.mean(axis=0)
+    var = w.var(axis=0, ddof=1)
+    terms = np.zeros(w.shape[1])
+    guarded = False
+    for i in range(w.shape[1]):
+        if var[i] == 0.0:
+            continue
+        denom = abs(mu[i])
+        if denom < WEIGHT_MEAN_EPSILON:
+            denom = WEIGHT_MEAN_EPSILON
+            guarded = True
+        terms[i] = var[i] / denom
+    return terms, guarded
+
+
+def make_set(weight_rows, d, explainer=SURROGATE_ID):
     """weight_rows: list of {column: weight} dicts, one per explanation."""
-    intervals = intervals or {}
     explanations = []
     for row in weight_rows:
-        attrs = tuple(Attribution(j, w, interval=intervals.get(j))
-                      for j, w in sorted(row.items()))
+        attrs = tuple(Attribution(j, w) for j, w in sorted(row.items()))
         explanations.append(Explanation(
             attributions=attrs, selected_k=len(attrs), explainer_id=explainer,
             seed_used=0, n_features=d))
-    return ExplanationSet(explanations=tuple(explanations), case_ref=case_ref)
+    return ExplanationSet(explanations=tuple(explanations))
 
 
-def subset_from_rows(rows):
-    z = np.asarray(rows, dtype=np.int8)
-    return SubsetMatrix(z=z, k_per_row=z.sum(axis=1))
+def grid(rows):
+    return np.asarray(rows, dtype=np.int8)
 
 
 # ------------------------------------------------------- subset stability
 
 def test_subset_identical_rows_scores_one():
-    z = subset_from_rows([[1, 1, 0, 0]] * 3)
+    z = grid([[1, 1, 0, 0]] * 3)
     assert stability_by_subset(z) == 1.0
 
 
 def test_subset_disagreement_scores_below_one():
-    z = subset_from_rows([[1, 1, 0, 0], [1, 0, 1, 0]])
+    z = grid([[1, 1, 0, 0], [1, 0, 1, 0]])
     assert stability_by_subset(z) < 1.0
 
 
 def test_subset_hand_example_total_disagreement_on_free_slots():
     # {f1, f2} vs {f1, f3} over d=4: exactly 0
-    z = subset_from_rows([[1, 1, 0, 0], [1, 0, 1, 0]])
+    z = grid([[1, 1, 0, 0], [1, 0, 1, 0]])
     assert stability_by_subset(z) == 0.0
 
 
 def test_subset_hand_example_one_third():
     # {f1,f2}, {f1,f2}, {f1,f3} over d=4: exactly 1/3
-    z = subset_from_rows([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0]])
+    z = grid([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0]])
     assert abs(stability_by_subset(z) - 1.0 / 3.0) <= 1e-12
 
 
@@ -120,7 +135,7 @@ def test_subset_matches_oracle_on_random_grids():
         ks = z.sum(axis=1)
         if ks.sum() == 0 or ks.sum() == m * d:
             continue
-        got = stability_by_subset(SubsetMatrix(z=z, k_per_row=ks))
+        got = stability_by_subset(z)
         assert abs(got - oracle_subset_stability(z.tolist())) <= 1e-12
 
 
@@ -128,56 +143,50 @@ def test_subset_column_permutation_invariance():
     rng = np.random.default_rng(3)
     z = (rng.random((6, 12)) < 0.3).astype(np.int8)
     z[0, 0] = 1  # keep kbar strictly inside (0, d)
-    base = stability_by_subset(SubsetMatrix(z=z, k_per_row=z.sum(axis=1)))
+    base = stability_by_subset(z)
     for _ in range(5):
         perm = rng.permutation(12)
-        zp = z[:, perm]
-        assert abs(stability_by_subset(SubsetMatrix(z=zp, k_per_row=zp.sum(axis=1)))
-                   - base) <= 1e-12
+        assert abs(stability_by_subset(z[:, perm]) - base) <= 1e-12
 
 
 def test_subset_degenerate_sizes_raise():
     with pytest.raises(DegenerateSubsetSize):
-        stability_by_subset(subset_from_rows([[0, 0, 0], [0, 0, 0]]))
+        stability_by_subset(grid([[0, 0, 0], [0, 0, 0]]))
     with pytest.raises(DegenerateSubsetSize):
-        stability_by_subset(subset_from_rows([[1, 1, 1], [1, 1, 1]]))
+        stability_by_subset(grid([[1, 1, 1], [1, 1, 1]]))
 
 
 def test_subset_single_explanation_rejected():
     with pytest.raises(InvalidSpec):
-        stability_by_subset(subset_from_rows([[1, 0]]))
+        stability_by_subset(grid([[1, 0]]))
+    with pytest.raises(InvalidSpec):
+        stability_by_subset(grid([1, 0, 1]))  # not an (M, d) grid
 
 
 def test_subset_below_zero_warns_instead_of_failing():
     # maximally adversarial selections can push the score below zero
-    z = subset_from_rows([[1, 0], [0, 1]])
+    z = grid([[1, 0], [0, 1]])
     with pytest.warns(UserWarning, match="below 0"):
         value = stability_by_subset(z)
     assert value < 0.0
 
 
-def test_subset_matrix_validates_row_sums():
-    with pytest.raises(InvalidSpec):
-        SubsetMatrix(z=np.array([[1, 0], [1, 1]], dtype=np.int8),
-                     k_per_row=np.array([1, 1]))
-
-
 # ------------------------------------------------------- weight stability
 
 def test_weight_identical_rows_scores_one():
-    w = WeightMatrix(w=np.array([[0.3, -1.2, 0.0]] * 4))
+    w = np.array([[0.3, -1.2, 0.0]] * 4)
     assert stability_by_weight(w) == 1.0
 
 
 def test_weight_hand_example_half():
     # rows (1, 0) and (1, 1): column terms 0 and 1, mean 0.5
-    w = WeightMatrix(w=np.array([[1.0, 0.0], [1.0, 1.0]]))
+    w = np.array([[1.0, 0.0], [1.0, 1.0]])
     assert stability_by_weight(w) == 0.5
 
 
 def test_weight_hand_example_negative_third():
     # single column with weights 0.5 and 2.5: 1 - (2 / 1.5)
-    w = WeightMatrix(w=np.array([[0.5], [2.5]]))
+    w = np.array([[0.5], [2.5]])
     assert abs(stability_by_weight(w) - (-1.0 / 3.0)) <= 1e-12
 
 
@@ -187,13 +196,13 @@ def test_weight_matches_oracle_on_random_grids():
         m = int(rng.integers(2, 9))
         d = int(rng.integers(1, 12))
         w = rng.normal(size=(m, d)) * rng.random(d)  # varied column scales
-        got = stability_by_weight(WeightMatrix(w=w))
+        got = stability_by_weight(w)
         assert abs(got - oracle_weight_stability(w.tolist())) <= 1e-12
 
 
 def test_weight_zero_column_contributes_zero():
     # an always-unselected feature must not drag the score down
-    w = WeightMatrix(w=np.array([[1.0, 0.0], [1.0, 0.0]]))
+    w = np.array([[1.0, 0.0], [1.0, 0.0]])
     assert stability_by_weight(w) == 1.0
 
 
@@ -205,9 +214,36 @@ def test_weight_epsilon_guard_flags_and_scores():
     assert abs(score.by_weight - (1.0 - (2.0 / 1e-8) / 3.0)) <= 1e-3
 
 
+def test_weight_terms_match_the_per_column_loop_bit_for_bit():
+    rng = np.random.default_rng(19)
+    guarded_grids = zero_variance_columns = 0
+    for _ in range(300):
+        m = int(rng.integers(2, 9))
+        d = int(rng.integers(1, 12))
+        w = rng.normal(size=(m, d)) * rng.random(d)
+        kind = rng.integers(0, 4, size=d)
+        for j in np.flatnonzero(kind == 1):  # zero variance, zero or not
+            w[:, j] = rng.choice([0.0, rng.normal()])
+        for j in np.flatnonzero(kind == 2):  # varies, |mean| below the guard
+            w[:, j] = rng.normal(size=m) * 1e-10
+        for j in np.flatnonzero(kind == 3):  # varies, mean exactly 0
+            w[:, j] = 0.0
+            w[0, j], w[1, j] = 0.5, -0.5
+        terms, guarded = _weight_terms(w)
+        expected, expected_guarded = reference_weight_terms(w)
+        assert terms.tolist() == expected.tolist()
+        assert guarded == expected_guarded
+        assert stability_by_weight(w) == 1.0 - float(expected.mean())
+        guarded_grids += guarded
+        zero_variance_columns += int(np.sum(kind == 1))
+    assert 0 < guarded_grids < 300 and zero_variance_columns > 0
+
+
 def test_weight_matrix_rejects_nonfinite():
     with pytest.raises(InvalidSpec):
-        WeightMatrix(w=np.array([[np.nan, 0.0], [1.0, 0.0]]))
+        stability_by_weight(np.array([[np.nan, 0.0], [1.0, 0.0]]))
+    with pytest.raises(InvalidSpec):
+        stability_by_weight(np.array([[0.5, 1.0]]))  # a single explanation
 
 
 # -------------------------------------------------------- subset building
@@ -217,32 +253,28 @@ def test_build_subset_matrix_top_k_with_index_ties():
         {0: 1.0, 1: -2.0, 2: 1.0, 3: 0.5},
         {0: 1.0, 1: -2.0, 2: 1.0, 3: 0.5},
     ], d=5)
-    sm = build_subset_matrix(es, k=2)
+    z = build_subset_matrix(es, k=2)
     # |weights|: 1, 2, 1, 0.5 -> top 2 = column 1 then the 0-vs-2 tie -> 0
-    assert sm.z.tolist() == [[1, 1, 0, 0, 0]] * 2
-    assert sm.k_per_row.tolist() == [2, 2]
+    assert z.tolist() == [[1, 1, 0, 0, 0]] * 2
 
 
 def test_build_subset_matrix_fewer_nonzero_than_k():
     es = make_set([{0: 0.7}, {0: 0.7, 2: 0.1}], d=4)
-    sm = build_subset_matrix(es, k=3)
-    assert sm.k_per_row.tolist() == [1, 2]
-    assert sm.z.tolist() == [[1, 0, 0, 0], [1, 0, 1, 0]]
+    z = build_subset_matrix(es, k=3)
+    assert z.tolist() == [[1, 0, 0, 0], [1, 0, 1, 0]]
 
 
 def test_build_subset_matrix_ignores_exact_zero_weights():
     es = make_set([{0: 0.0, 1: 0.4}, {0: 0.0, 1: 0.4}], d=3)
-    sm = build_subset_matrix(es, k=2)
-    assert sm.z.tolist() == [[0, 1, 0], [0, 1, 0]]
+    z = build_subset_matrix(es, k=2)
+    assert z.tolist() == [[0, 1, 0], [0, 1, 0]]
 
 
 # -------------------------------------------------------- stability score
 
 def test_score_stability_combines_both_metrics():
-    es = make_set([{0: 1.0, 1: 0.5}, {0: 1.0, 2: 0.5}], d=4,
-                  case_ref=("c1", 3))
+    es = make_set([{0: 1.0, 1: 0.5}, {0: 1.0, 2: 0.5}], d=4)
     score = score_stability(es, k=2)
-    assert score.case_ref == ("c1", 3)
     assert score.by_subset == 0.0  # {0,1} vs {0,2} over d=4
     # columns: (1,1) term 0; (0.5,0) var .125 mean .25 -> 0.5; (0,0.5) -> 0.5
     assert abs(score.by_weight - (1.0 - 1.0 / 4.0)) <= 1e-12
@@ -250,7 +282,7 @@ def test_score_stability_combines_both_metrics():
 
 def test_stability_score_type_rejects_values_above_one():
     with pytest.raises(InvalidSpec):
-        StabilityScore(case_ref=None, by_subset=1.5, by_weight=0.0)
+        StabilityScore(by_subset=1.5, by_weight=0.0, flags=())
 
 
 def test_exact_shapley_repeats_are_perfectly_stable():
@@ -299,44 +331,39 @@ def continuous_matrix(values, encoder="static_numeric"):
                          bucket_id="all")
 
 
+def surrogate_set(column, d, weighted_intervals):
+    return ExplanationSet(explanations=tuple(
+        Explanation(attributions=(Attribution(column, w, interval=iv),), selected_k=1,
+                    explainer_id=SURROGATE_ID, seed_used=0, n_features=d)
+        for w, iv in weighted_intervals))
+
+
 def test_surrogate_modal_interval():
-    es = make_set(
-        [{1: 0.5}, {1: 0.4}, {1: 0.6}], d=2,
-        intervals=None, case_ref=("c0", 1))
-    # attach differing intervals by rebuilding explanations manually
-    exps = []
-    for w, iv in [(0.5, (0.0, 2.0)), (0.4, (0.0, 2.0)), (0.6, (1.0, 3.0))]:
-        exps.append(Explanation(
-            attributions=(Attribution(1, w, interval=iv),), selected_k=1,
-            explainer_id=SURROGATE_ID, seed_used=0, n_features=2))
-    es = ExplanationSet(explanations=tuple(exps), case_ref=("c0", 1))
+    es = surrogate_set(1, 2, [(0.5, (0.0, 2.0)), (0.4, (0.0, 2.0)), (0.6, (1.0, 3.0))])
     rows = np.array([[0.0, 1.5], [1.0, 2.5], [2.0, 0.5], [3.0, 3.5]])
     matrix = continuous_matrix(rows)
-    region = influential_interval(es, 1, matrix)
+    region = influential_interval(es, 1, matrix, None, rows[0],
+                                  MatrixStats.from_matrix(matrix))
     assert region.kind == "interval" and region.interval == (0.0, 2.0)
     assert not region.fallback
 
 
 def test_surrogate_modal_tie_breaks_to_smaller_interval():
-    exps = []
-    for iv in [(1.0, 3.0), (0.0, 2.0)]:
-        exps.append(Explanation(
-            attributions=(Attribution(0, 0.5, interval=iv),), selected_k=1,
-            explainer_id=SURROGATE_ID, seed_used=0, n_features=1))
-    es = ExplanationSet(explanations=tuple(exps), case_ref=("c0", 1))
+    es = surrogate_set(0, 1, [(0.5, (1.0, 3.0)), (0.5, (0.0, 2.0))])
     matrix = continuous_matrix(np.array([[0.5], [1.5], [2.5]]))
-    region = influential_interval(es, 0, matrix)
+    region = influential_interval(es, 0, matrix, None, matrix.rows[0],
+                                  MatrixStats.from_matrix(matrix))
     assert region.interval == (0.0, 2.0)
 
 
 def test_missing_interval_falls_back_to_one_training_std():
-    es = make_set([{0: 1.0}, {0: 0.9}], d=2, case_ref=("c1", 1))
+    es = make_set([{0: 1.0}, {0: 0.9}], d=2)
     rows = np.array([[0.0, 10.5], [1.0, 20.0], [2.0, 30.0], [3.5, 40.0]])
     matrix = continuous_matrix(rows)
-    stats = MatrixStats.from_matrix(matrix)
-    region = influential_interval(es, 1, matrix, train_stats=stats)
+    stats = MatrixStats.from_matrix(continuous_matrix(rows * 3.0))  # not the region rows
+    region = influential_interval(es, 1, matrix, None, rows[1], stats)
     assert region.fallback
-    value = 20.0  # instance c1 at column 1
+    value = 20.0  # the instance's value at column 1
     std = float(stats.scales[1])
     assert region.interval == (value - std, value + std)
 
@@ -350,12 +377,14 @@ def test_binary_column_region_is_value_complement():
                            case_ids=("c0", "c1", "c2"),
                            prefix_lengths=np.ones(3, dtype=np.int64),
                            bucket_id="all")
-    es = make_set([{0: 1.0}, {0: 0.8}], d=2, case_ref=("c0", 1))
-    region = influential_interval(es, 0, matrix)
+    stats = MatrixStats.from_matrix(matrix)
+    es = make_set([{0: 1.0}, {0: 0.8}], d=2)
+    region = influential_interval(es, 0, matrix, None, rows[0], stats)
     assert region.kind == "complement" and region.values == (0.0,)
-    es1 = make_set([{0: 1.0}, {0: 0.8}], d=2, case_ref=("c1", 1))
-    region1 = influential_interval(es1, 0, matrix)
+    region1 = influential_interval(es, 0, matrix, None, rows[1], stats)
     assert region1.values == (1.0,)
+    missing = influential_interval(es, 0, matrix, None, np.array([np.nan, 3.5]), stats)
+    assert missing.values == (0.0, 1.0)
 
 
 def test_shapley_region_uses_attribution_deciles():
@@ -365,19 +394,24 @@ def test_shapley_region_uses_attribution_deciles():
     rows = np.arange(n, dtype=np.float64).reshape(-1, 1) + 0.5
     matrix = continuous_matrix(rows)
     shap_col = np.arange(n, dtype=np.float64)
-    es = make_set([{0: 0.0}, {0: 0.0}], d=1, explainer=SHAPLEY_ID,
-                  case_ref=("c0", 1))
-    region = influential_interval(es, 0, matrix, test_attributions=shap_col)
+    es = make_set([{0: 0.0}, {0: 0.0}], d=1, explainer=SHAPLEY_ID)
+    region = influential_interval(es, 0, matrix, shap_col, rows[0],
+                                  MatrixStats.from_matrix(matrix))
     assert region.kind == "interval"
     assert region.interval == (0.5, 1.5)  # rows 0 and 1 share the first decile
 
 
-def test_shapley_without_attribution_column_falls_back():
-    matrix = continuous_matrix(np.array([[0.25], [1.0], [2.0], [4.0]]))
-    es = make_set([{0: 0.3}, {0: 0.3}], d=1, explainer=SHAPLEY_ID,
-                  case_ref=("c2", 1))
-    region = influential_interval(es, 0, matrix)
-    assert region.fallback
+def test_shapley_region_without_present_members_falls_back():
+    # the instance's decile holds rows 0 and 1, both missing at the column;
+    # the instance is missing there too, so the band centres on the training mean
+    n = 20
+    rows = np.arange(n, dtype=np.float64).reshape(-1, 1) + 0.5
+    rows[:2] = np.nan
+    stats = MatrixStats.from_matrix(continuous_matrix(np.array([[2.0], [6.0]])))
+    es = make_set([{0: 0.0}, {0: 0.0}], d=1, explainer=SHAPLEY_ID)
+    region = influential_interval(es, 0, continuous_matrix(rows),
+                                  np.arange(n, dtype=np.float64), np.array([np.nan]), stats)
+    assert region.fallback and region.interval == (2.0, 6.0)
 
 
 # ------------------------------------------------------------ perturbation
@@ -386,14 +420,16 @@ def interval_target(column, domain_matrix, interval):
     from exqual.metrics import _continuous_segments
     from exqual.encoding import feature_domain
     dom = feature_domain(domain_matrix, column)
-    return PerturbationTarget(column, InfluentialRegion("interval", interval=interval),
-                              segments=_continuous_segments(dom, interval))
+    return PerturbationTarget(column, segments=_continuous_segments(dom, interval))
+
+
+def plan_of(*targets, n_perturbations=10):
+    return PerturbationPlan(targets=targets, n_perturbations=n_perturbations, flags=())
 
 
 def test_perturb_never_lands_inside_the_interval():
     matrix = continuous_matrix(np.array([[0.25], [10.0], [5.0], [7.5]]))
-    plan = PerturbationPlan(case_ref=None,
-                            targets=(interval_target(0, matrix, (2.0, 4.0)),))
+    plan = plan_of(interval_target(0, matrix, (2.0, 4.0)))
     rng = np.random.default_rng(123)
     row = np.array([3.0])
     for _ in range(10_000):
@@ -404,8 +440,7 @@ def test_perturb_never_lands_inside_the_interval():
 
 def test_perturb_full_coverage_extends_outward():
     matrix = continuous_matrix(np.array([[0.25], [10.0], [5.0]]))
-    plan = PerturbationPlan(case_ref=None,
-                            targets=(interval_target(0, matrix, (0.0, 12.0)),))
+    plan = plan_of(interval_target(0, matrix, (0.0, 12.0)))
     rng = np.random.default_rng(5)
     width = 10.0 - 0.25
     seen_low = seen_high = False
@@ -425,18 +460,14 @@ def test_perturb_integer_column_enumerates_allowed_values():
     dom = feature_domain(matrix, 0)
     values = _integer_values(dom, (1.5, 3.5))
     assert values == (0.0, 1.0, 4.0, 5.0)
-    target = PerturbationTarget(0, InfluentialRegion("interval", interval=(1.5, 3.5)),
-                                values=values)
-    plan = PerturbationPlan(case_ref=None, targets=(target,))
+    plan = plan_of(PerturbationTarget(0, values=values))
     rng = np.random.default_rng(2)
     seen = {perturb(np.array([2.0]), plan, rng)[0] for _ in range(2000)}
     assert seen == {0.0, 1.0, 4.0, 5.0}
 
 
 def test_perturb_binary_flips_value():
-    target = PerturbationTarget(0, InfluentialRegion("complement", values=(0.0,)),
-                                values=(0.0,))
-    plan = PerturbationPlan(case_ref=None, targets=(target,))
+    plan = plan_of(PerturbationTarget(0, values=(0.0,)))
     rng = np.random.default_rng(0)
     assert perturb(np.array([1.0, 9.0]), plan, rng).tolist() == [0.0, 9.0]
 
@@ -446,8 +477,7 @@ def test_perturb_touches_only_target_columns():
         np.array([[0.25], [10.0], [5.0]]),
         np.array([[1.0], [2.0], [3.5]]),
     ]))
-    plan = PerturbationPlan(case_ref=None,
-                            targets=(interval_target(0, matrix, (2.0, 4.0)),))
+    plan = plan_of(interval_target(0, matrix, (2.0, 4.0)))
     row = np.array([3.0, np.nan])
     out = perturb(row, plan, np.random.default_rng(1))
     assert out[0] != 3.0 or not (2.0 <= out[0] <= 4.0)
@@ -464,18 +494,26 @@ def test_perturbation_plan_end_to_end_with_integer_rounding():
                            case_ids=("c0", "c1", "c2", "c3"),
                            prefix_lengths=np.ones(4, dtype=np.int64),
                            bucket_id="all")
-    exps = [Explanation(
-        attributions=(Attribution(0, 1.0, interval=(1.5, 3.5)),),
-        selected_k=1, explainer_id=SURROGATE_ID, seed_used=s, n_features=2)
-        for s in (0, 1)]
-    es = ExplanationSet(explanations=tuple(exps), case_ref=("c1", 1))
-    plan = build_perturbation_plan(es, matrix, k=1)
+    es = surrogate_set(0, 2, [(1.0, (1.5, 3.5)), (1.0, (1.5, 3.5))])
+    plan = build_perturbation_plan(es, matrix, MatrixStats.from_matrix(matrix), 1, 7,
+                                   rows[1], None)
     assert len(plan.targets) == 1
+    assert plan.n_perturbations == 7 and plan.flags == ()
     # integer grid of the observed domain [0, 5] minus integers in [1.5, 3.5]
     assert plan.targets[0].values == (0.0, 1.0, 4.0, 5.0)
     rng = np.random.default_rng(9)
     draws = {perturb(matrix.rows[1], plan, rng)[0] for _ in range(500)}
     assert draws == {0.0, 1.0, 4.0, 5.0}
+
+
+def test_perturbation_plan_flags_a_fallback_region():
+    # no explanation carries an interval for column 0: the plan falls back
+    rows = np.array([[0.25], [10.0], [5.0]])
+    matrix = continuous_matrix(rows)
+    es = make_set([{0: 1.0}, {0: 0.9}], d=1)
+    plan = build_perturbation_plan(es, matrix, MatrixStats.from_matrix(matrix), 1, 3,
+                                   rows[2], None)
+    assert plan.flags == (FLAG_INTERVAL_FALLBACK,)
 
 
 # ---------------------------------------------------------------- fidelity
@@ -490,15 +528,11 @@ def test_fidelity_hand_example():
         return np.array([0.6, 0.7])
 
     matrix = continuous_matrix(np.array([[0.25], [10.0], [5.0]]))
-    plan = PerturbationPlan(case_ref=("c", 1),
-                            targets=(interval_target(0, matrix, (2.0, 4.0)),),
-                            n_perturbations=2)
-    score = fidelity(predictor, np.array([3.0]), plan,
-                     rng=np.random.default_rng(0))
-    assert abs(score.f - 0.1875) <= 1e-12
+    plan = plan_of(interval_target(0, matrix, (2.0, 4.0)), n_perturbations=2)
+    score = fidelity(predictor, np.array([3.0]), plan, np.random.default_rng(0))
+    assert calls == [1, 2]  # the original row, then the plan's 2 perturbations
+    assert abs(score.f - 0.1875) <= 1e-12  # mean of 0.25 and 0.125
     assert score.y_original == 0.8
-    assert len(score.deltas) == 2
-    assert abs(score.deltas[0] - 0.25) <= 1e-12
 
 
 def test_fidelity_uses_predicted_class_probability():
@@ -507,10 +541,8 @@ def test_fidelity_uses_predicted_class_probability():
         return np.full(rows.shape[0], 0.2)
 
     matrix = continuous_matrix(np.array([[0.25], [10.0], [5.0]]))
-    plan = PerturbationPlan(case_ref=None,
-                            targets=(interval_target(0, matrix, (2.0, 4.0)),))
-    score = fidelity(predictor, np.array([3.0]), plan,
-                     rng=np.random.default_rng(0))
+    plan = plan_of(interval_target(0, matrix, (2.0, 4.0)))
+    score = fidelity(predictor, np.array([3.0]), plan, np.random.default_rng(0))
     assert score.y_original == 0.8
     assert score.f == 0.0
 
@@ -520,30 +552,14 @@ def test_fidelity_zero_iff_probability_unchanged():
         return np.full(rows.shape[0], 0.75)
 
     matrix = continuous_matrix(np.array([[0.25], [10.0], [5.0]]))
-    plan = PerturbationPlan(case_ref=None,
-                            targets=(interval_target(0, matrix, (2.0, 4.0)),))
-    assert fidelity(constant, np.array([3.0]), plan,
-                    rng=np.random.default_rng(1)).f == 0.0
+    plan = plan_of(interval_target(0, matrix, (2.0, 4.0)))
+    assert fidelity(constant, np.array([3.0]), plan, np.random.default_rng(1)).f == 0.0
 
     def sensitive(rows):
         return 1.0 / (1.0 + np.exp(-0.5 * rows[:, 0]))
 
-    score = fidelity(sensitive, np.array([3.0]), plan,
-                     rng=np.random.default_rng(1))
+    score = fidelity(sensitive, np.array([3.0]), plan, np.random.default_rng(1))
     assert score.f > 0.0
-    assert all(d >= 0.0 for d in score.deltas)
-
-
-def test_fidelity_default_perturbation_count():
-    def predictor(rows):
-        return np.full(rows.shape[0], 0.9)
-
-    matrix = continuous_matrix(np.array([[0.25], [10.0], [5.0]]))
-    plan = PerturbationPlan(case_ref=None,
-                            targets=(interval_target(0, matrix, (2.0, 4.0)),))
-    score = fidelity(predictor, np.array([3.0]), plan,
-                     rng=np.random.default_rng(3))
-    assert len(score.deltas) == 10
 
 
 # ------------------------------------------------------------- aggregation
@@ -579,11 +595,10 @@ def test_evaluate_instance_produces_full_record():
                       Attribution(1, 0.5, interval=(1.0, 1.0))),
         selected_k=2, explainer_id=SURROGATE_ID, seed_used=s, n_features=2)
         for s in (0, 1)]
-    es = ExplanationSet(explanations=tuple(exps), case_ref=("c2", 1))
+    es = ExplanationSet(explanations=tuple(exps))
     model = logistic_box([0.3, -0.2], 0.05)
-    record = evaluate_instance(model, es, matrix, train_stats=stats, k=1,
-                               rng=np.random.default_rng(0))
-    assert record.case_id == "c2" and record.prefix_length == 1
+    record = evaluate_instance(model, es, matrix, stats, 1, 10, None,
+                               np.random.default_rng(0), rows[2])
     assert record.by_subset == 1.0 and record.by_weight == 1.0
     assert record.f >= 0.0
     assert 0.5 <= record.y_original < 1.0

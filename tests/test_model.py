@@ -77,11 +77,17 @@ def test_gbt_never_splits_all_missing_column():
     assert evaluate_accuracy(model, matrix_from(rows, y)) == 1.0
 
 
+def _first_trees(model, k):
+    """The model cut down to its first k trees."""
+    return GBTModel(model.trees[:k], model.base_score, model.n_features,
+                    model.descriptors_fingerprint, model.config)
+
+
 def test_empty_ensemble_predicts_logistic_of_base_score():
     model = GBTModel(trees=(), base_score=0.0, n_features=3, descriptors_fingerprint="x")
     assert predict_proba_rows(model, np.zeros((1, 3)))[0] == 0.5
     trained = train_gbt(separable_1d(), GBTConfig(n_trees=4, max_depth=1, min_leaf=2))
-    raw0 = predict_raw(trained, np.array([[1.0], [2.0]]), n_trees=0)
+    raw0 = predict_raw(_first_trees(trained, 0), np.array([[1.0], [2.0]]))
     assert np.allclose(raw0, trained.base_score)
 
 
@@ -106,7 +112,7 @@ def test_training_loss_non_increasing_per_round():
     y = (rows[:, 0] + 0.5 * rows[:, 1] + 0.2 * rng.normal(size=80) > 0).astype(int)
     m = matrix_from(rows, y)
     model = train_gbt(m, GBTConfig(n_trees=25, max_depth=3, min_leaf=5))
-    losses = [logistic_loss(predict_raw(model, m.rows, n_trees=k), y)
+    losses = [logistic_loss(predict_raw(_first_trees(model, k), m.rows), y)
               for k in range(model.config.n_trees + 1)]
     for a, b in zip(losses, losses[1:]):
         assert b <= a + 1e-12
@@ -467,7 +473,7 @@ def test_predict_raw_matches_tree_by_tree_sum_at_block_edges():
         block = model_module._WALK_CELLS // max(n_trees, 1)
         for n in (0, 1, block - 1, block, block + 1):
             rows = pool[:n]
-            assert np.array_equal(predict_raw(model, rows, n_trees=n_trees),
+            assert np.array_equal(predict_raw(_first_trees(model, n_trees), rows),
                                   _reference_predict_raw(model, rows, n_trees))
     empty = GBTModel(trees=(), base_score=-0.25, n_features=matrix.d, descriptors_fingerprint="x")
     for n in (0, 1, model_module._WALK_CELLS + 1):
