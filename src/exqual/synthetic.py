@@ -141,6 +141,7 @@ def check_gen_spec(gen_spec) -> dict:
         _check_weights(gen_spec["activity_weights"], len(activities), "activity_weights")
     for attr in gen_spec.get("static_attrs", []) + gen_spec.get("dynamic_attrs", []):
         _check_attribute(attr)
+    _schema(gen_spec)  # refuses an attribute name used twice or by a log column
     _check_probability(gen_spec.get("missing_rate", 0.0), "missing_rate")
     try:
         datetime.fromisoformat(gen_spec.get("start_time", "2024-01-01T00:00:00"))
@@ -148,6 +149,21 @@ def check_gen_spec(gen_spec) -> dict:
         raise InvalidSpec(f"start_time: {exc}") from None
     _check_rule(gen_spec["label_rule"])
     return gen_spec
+
+
+def _schema(gen_spec: dict) -> LogSchema:
+    decls = tuple([AttributeDecl(a["name"], STATIC, a["dtype"])
+                   for a in gen_spec.get("static_attrs", [])]
+                  + [AttributeDecl(a["name"], DYNAMIC, a["dtype"])
+                     for a in gen_spec.get("dynamic_attrs", [])])
+    return LogSchema(
+        case_id_column="case_id",
+        activity_column="activity",
+        timestamp_column="timestamp",
+        attribute_decls=decls,
+        label_column="label",
+        positive_label=POSITIVE_LABEL,
+    )
 
 
 def _draw_numeric(dist: dict, rng: np.random.Generator) -> float:
@@ -234,8 +250,6 @@ def generate_synthetic_log(gen_spec: dict, seed: int) -> EventLog:
 
     static_specs = gen_spec.get("static_attrs", [])
     dynamic_specs = gen_spec.get("dynamic_attrs", [])
-    decls = tuple([AttributeDecl(a["name"], STATIC, a["dtype"]) for a in static_specs]
-                  + [AttributeDecl(a["name"], DYNAMIC, a["dtype"]) for a in dynamic_specs])
 
     start = datetime.fromisoformat(gen_spec.get("start_time", "2024-01-01T00:00:00"))
     spacing = gen_spec.get("case_spacing_seconds", 3600)
@@ -243,15 +257,6 @@ def generate_synthetic_log(gen_spec: dict, seed: int) -> EventLog:
     gap_lo, gap_hi = gap["min"], gap["max"]
     missing_rate = float(gen_spec.get("missing_rate", 0.0))
     prefix = gen_spec.get("case_id_prefix", "case")
-
-    schema = LogSchema(
-        case_id_column="case_id",
-        activity_column="activity",
-        timestamp_column="timestamp",
-        attribute_decls=decls,
-        label_column="label",
-        positive_label=POSITIVE_LABEL,
-    )
 
     rng = np.random.default_rng(seed)
     width = len(str(n_traces))
@@ -304,4 +309,4 @@ def generate_synthetic_log(gen_spec: dict, seed: int) -> EventLog:
         "label_rule": dict(rule),
         "ground_truth_features": ground_truth_features(rule),
     }
-    return EventLog(schema=schema, traces=tuple(traces), metadata=metadata)
+    return EventLog(schema=_schema(gen_spec), traces=tuple(traces), metadata=metadata)

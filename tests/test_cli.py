@@ -580,6 +580,10 @@ MALFORMED_INPUTS = {
         2, "config.json"),
     "run-string-n-traces": (_run_gen_spec(n_traces="ten"), 2, "config.json"),
     "run-misspelt-gen-spec-key": (_run_gen_spec(n_trace=10), 2, "config.json"),
+    "run-attribute-named-like-a-log-column": (
+        _run_gen_spec(static_attrs=_numeric_attr({"kind": "normal", "mean": 0, "std": 1})
+                      + [{"name": "label", "dtype": "categorical", "categories": ["x"]}]),
+        2, "config.json"),
     "synth-trace-length-without-max": (_synth(trace_length={"min": 2}), 2, "gen.json"),
     "synth-uniform-without-lo": (
         _synth(static_attrs=_numeric_attr({"kind": "uniform", "hi": 1.0})), 2, "gen.json"),
