@@ -54,7 +54,14 @@ from .harness import (
     read_bundle,
     run_experiment,
 )
-from .metrics import build_perturbation_plan, fidelity, score_stability
+from .metrics import (
+    build_perturbation_plan,
+    build_subset_matrix,
+    build_weight_matrix,
+    fidelity,
+    score_stability,
+    select_perturbation_targets,
+)
 from .model import (
     MODEL_OPTIONS,
     GBTConfig,
@@ -195,7 +202,8 @@ def _cmd_eval_stability(args) -> int:
     paths = _explanation_paths(args.explanations)
 
     def evaluate(es):
-        score = score_stability(es, k=args.k)
+        score = score_stability(es, build_subset_matrix(es, args.k),
+                                build_weight_matrix(es))
         return [es.case_ref[0], str(es.case_ref[1]), repr(score.by_subset),
                 repr(score.by_weight), "|".join(score.flags)]
 
@@ -222,8 +230,10 @@ def _cmd_eval_fidelity(args) -> int:
                                                 global_seed=es.assets_seed)
         assets = built[key]
         row = _instance_row(matrix, *es.case_ref)
-        plan = build_perturbation_plan(es, assets.region_matrix,
-                                       train_stats=assets.train_stats, k=args.k,
+        targets = select_perturbation_targets(build_subset_matrix(es, args.k),
+                                              build_weight_matrix(es))
+        plan = build_perturbation_plan(es, targets, assets.region_matrix,
+                                       train_stats=assets.train_stats,
                                        n_perturbations=args.n_perturbations,
                                        row=row,
                                        attribution_matrix=assets.attribution_matrix)
@@ -308,7 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="surrogate neighborhood size")
     p.add_argument("--k", type=int, default=10, help="surrogate selection size")
     p.add_argument("--n-background", type=int, default=16)
-    p.add_argument("--n-permutations", type=int, default=2000)
+    p.add_argument("--n-permutations", type=int, default=2000,
+                   help="sampled Shapley walk budget, split evenly over the "
+                        "background rows")
     p.add_argument("--out", required=True, help="explanation set JSON path")
     p.set_defaults(func=_cmd_explain)
 

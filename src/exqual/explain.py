@@ -6,7 +6,10 @@ Two built-in explainers over any predict function:
   training distribution, weight it by proximity, pick k features by
   forward selection and fit a weighted linear model;
 * a Shapley-value explainer: exact coalition enumeration for narrow
-  matrices, permutation sampling otherwise.
+  matrices, permutation sampling otherwise. The sampled regime gives every
+  background row b the same number of walks, in antithetic pairs (a
+  uniform permutation of D_b, defined below, and its reverse), so the
+  attributions add up to f(x) - mean_b f(b) to rounding.
 
 `model` may be a trained `GBTModel` or any callable mapping an (n, d)
 block of rows to n prediction probabilities.
@@ -21,14 +24,16 @@ only the D_b features of its coalition from the instance. Both regimes
 predict each distinct restricted composite once: all 2^|D_b| of them per b
 in the exact regime, and those the sampled walks reach in the sampled one.
 Every value is the one predicting all composites would give, bit for bit;
-for an opaque callable D_b is every feature.
+for an opaque callable D_b is every feature. A sampled walk of b orders
+D_b only: every other feature is a null player of b's game.
 
 The Shapley explainer's working memory grows with the distinct composites,
 not with the composites it stands for. The sampled regime holds the walks'
-permutations as small integers and one entry per walk start and per step
-that changes a walk's composite; the exact regime holds the 2^|D_b|
-predictions of each b and the 2^d coalition values. On top of that, either
-regime builds at most `_SCRATCH_CELLS` composite cells (rows x d) at a time.
+permutations of D_b as small integers and one entry per walk start and
+per step; the exact regime holds the 2^|D_b| predictions of each b and the
+2^d coalition values. On top of that, either regime builds at most
+`_SCRATCH_CELLS` composite cells (rows x d, or walk pairs x max |D_b| for
+the uniforms the walks are drawn from) at a time.
 """
 
 from __future__ import annotations
@@ -256,20 +261,22 @@ def _fit_design(samples: np.ndarray, x: np.ndarray, stats: MatrixStats,
     """Feature representation the linear fit runs on. Binary indicators and
     (when discretizing) binned numerics become same-value/same-bin-as-the-
     instance indicators; other numerics enter as raw values."""
-    n, d = samples.shape
-    design = np.empty((n, d))
-    for j in range(d):
-        if stats.domains[j] is None:
-            design[:, j] = 0.0
-        elif not np.isnan(stats.p_one[j]):
-            design[:, j] = (samples[:, j] == x[j]).astype(np.float64)
-        elif discretize and stats.bin_edges[j] is not None:
-            target = stats.bin_of(j, x[j])
-            inner = stats.bin_edges[j][1:-1]
-            sample_bins = np.searchsorted(inner, samples[:, j], side="left")
-            design[:, j] = (sample_bins == target).astype(np.float64)
-        else:
-            design[:, j] = samples[:, j]
+    unseen = np.array([dom is None for dom in stats.domains], dtype=bool)
+    binary = ~unseen & ~np.isnan(stats.p_one)
+    binned = ~unseen & ~binary & np.array(
+        [discretize and edges is not None for edges in stats.bin_edges], dtype=bool)
+    design = samples.copy()  # raw numerics
+    design[:, unseen] = 0.0
+    design[:, binary] = samples[:, binary] == x[binary]
+    if binned.any():
+        # a value's bin is the number of inner quartile edges below it, as
+        # np.searchsorted(inner, value, side="left") counts on the sorted
+        # edges (a missing value sorts above them all)
+        inner = np.array([stats.bin_edges[j][1:-1] for j in np.flatnonzero(binned)]).T
+        values = samples[:, binned]
+        sample_bins = sum(~(values <= edge) for edge in inner)
+        target = sum(~(x[binned] <= edge) for edge in inner)
+        design[:, binned] = sample_bins == target
     return design
 
 
@@ -413,39 +420,56 @@ def _sampled_shapley(predict, row: np.ndarray, background: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
     d = row.shape[0]
     n_bg = background.shape[0]
-    index = np.int16 if d < 1 << 15 else np.int32  # holds every column and d itself
-    perms = np.empty((n_permutations, d), dtype=index)
-    base = np.empty(n_permutations, dtype=np.int64)
-    for p in range(n_permutations):
-        perms[p] = rng.permutation(d)
-        base[p] = rng.integers(0, n_bg)
+    sizes = differs.sum(axis=1)  # |D_b|
+    pairs = -(-n_permutations // (2 * n_bg))  # antithetic pairs per b, ceil
+    active = np.flatnonzero(sizes)
+    if active.size == 0:  # every b is a null game: v is constant
+        return np.zeros(d)
 
-    # Step t of walk p takes the set S of the first t + 1 features of
-    # perms[p] from `row`. Its composite reaches the same leaves as its
-    # restriction to D_b of the walk's background row b, so its value
-    # depends only on b and S ∩ D_b. Only a step that adds a feature of D_b
-    # (a change point) changes that value; every other step's gain is
-    # exactly +0.0, and phi, which starts at +0.0, is the same without it.
-    # So keep one entry per walk start and one per change point, in walk
-    # order. Key each entry by b and the bits of S ∩ D_b, 31 bits to a word,
-    # folding each word in by its np.unique rank so that keys stay exact at
-    # any |D_b|, and predict one restricted composite per key.
-    walk, step = np.nonzero(differs[base[:, None], perms])
-    feature = perms[walk, step]
-    place = (np.cumsum(differs, axis=1, dtype=index) - 1)[base[walk], feature]  # bit in D_b
-    lengths = np.bincount(walk, minlength=n_permutations) + 1  # entries per walk
+    # Each b with a nonempty D_b gets `pairs` uniform permutations of D_b,
+    # each walked forward and then in reverse; a b whose D_b is empty adds
+    # nothing. Permutation r is the stable argsort of a row of uniforms
+    # whose columns at or beyond |D_b| are padded to sort last, so its first
+    # |D_b| entries order D_b's positions 0..|D_b|-1.
+    k_max = int(sizes.max())
+    index = np.int16 if k_max < 1 << 15 else np.int32  # holds every position and k_max
+    pair_b = np.repeat(active, pairs)
+    pair_k = sizes[pair_b]
+    perms = np.empty((pair_b.size, k_max), dtype=index)
+    chunk = max(1, _SCRATCH_CELLS // k_max)
+    for start in range(0, pair_b.size, chunk):
+        u = rng.random((min(chunk, pair_b.size - start), k_max))
+        u[np.arange(k_max) >= pair_k[start:start + u.shape[0], None]] = 1.0
+        perms[start:start + u.shape[0]] = np.argsort(u, axis=1, kind="stable")
+    del u
+
+    # Walk w is pair w // 2, forward when w is even and reversed when odd.
+    # Its entries are its start (S empty) and then one per step, each step
+    # adding the D_b feature at bit `place` of b's key. Key each entry by b
+    # and the bits of S ∩ D_b, 31 bits to a word, folding each word in by
+    # its np.unique rank so that keys stay exact at any |D_b|, and predict
+    # one restricted composite per key.
+    n_walks = 2 * pair_b.size
+    walk_b = np.repeat(pair_b, 2)
+    walk_k = np.repeat(pair_k, 2)
+    lengths = walk_k + 1  # entries per walk
     starts = np.cumsum(lengths) - lengths
-    changed = np.ones(int(lengths.sum()), dtype=bool)
-    changed[starts] = False
-    size = np.zeros(changed.size, dtype=index)  # |S| after each entry
-    size[changed] = step + 1
-    del walk, step
+    first_step = starts - np.arange(n_walks)  # of each walk, in the step arrays
+    walk = np.repeat(np.arange(n_walks), walk_k)
+    t = np.arange(walk.size) - first_step[walk]
+    t = np.where(walk % 2 == 1, walk_k[walk] - 1 - t, t)  # reversed walks
+    place = perms[walk // 2, t]
+    del t, perms
+    column = np.argsort(~differs, axis=1, kind="stable")  # D_b's i-th column
+    feature = column[walk_b[walk], place]
+    del walk, column
 
-    key = np.repeat(base, lengths)
-    n_words = max(1, -(-int(differs.sum(axis=1).max()) // _KEY_BITS))  # ceil, at least 1
-    for word in range(n_words):
-        masks = np.zeros(changed.size, dtype=np.int64)
-        masks[changed] = np.where(place // _KEY_BITS == word,
+    is_step = np.ones(walk_b.size + feature.size, dtype=bool)
+    is_step[starts] = False
+    key = np.repeat(walk_b, lengths)
+    for word in range(-(-k_max // _KEY_BITS)):  # ceil
+        masks = np.zeros(is_step.size, dtype=np.int64)
+        masks[is_step] = np.where(place // _KEY_BITS == word,
                                   np.left_shift(1, place % _KEY_BITS, dtype=np.int64), 0)
         np.cumsum(masks, out=masks)
         masks -= np.repeat(masks[starts], lengths)  # restart at each walk
@@ -453,21 +477,22 @@ def _sampled_shapley(predict, row: np.ndarray, background: np.ndarray,
                                   return_index=True, return_inverse=True)
     del masks, place
 
+    # an entry's composite takes from `row` the features of its walk's
+    # steps so far
     preds = np.empty(first.size)
     rows = max(1, _SCRATCH_CELLS // d)
     for start in range(0, first.size, rows):
         entry = first[start:start + rows]
         w = np.searchsorted(starts, entry, side="right") - 1
-        position = np.empty((entry.size, d), dtype=index)
-        position[np.arange(entry.size)[:, None], perms[w]] = np.arange(d)
-        take = differs[base[w]] & (position < size[entry][:, None])
-        preds[start:start + entry.size] = predict(
-            np.where(take, row[None, :], background[base[w]]))
-    gains = np.diff(preds[key])[changed[1:]]
-
-    phi = np.zeros(d)
-    np.add.at(phi, feature, gains)  # in walk order, as a loop over p would
-    return phi / n_permutations
+        taken = entry - starts[w]  # |S|
+        offset = np.arange(int(taken.sum())) - np.repeat(np.cumsum(taken) - taken, taken)
+        cols = feature[np.repeat(first_step[w], taken) + offset]
+        composites = background[walk_b[w]]
+        composites[np.repeat(np.arange(entry.size), taken), cols] = row[cols]
+        preds[start:start + entry.size] = predict(composites)
+    gains = np.diff(preds[key])[is_step[1:]]
+    # summed in walk order, as a loop over the walks would
+    return np.bincount(feature, weights=gains, minlength=d) / (n_bg * 2 * pairs)
 
 
 def explain_shapley(model, row: np.ndarray, config: ShapleyConfig,
@@ -478,6 +503,17 @@ def explain_shapley(model, row: np.ndarray, config: ShapleyConfig,
     independent), permutation sampling otherwise. Attributions carry no
     intervals; the perturbation planner infers them from value binning.
 
+    The sampled regime estimates φ = mean over b of b's own Shapley values
+    (linearity). `n_permutations` is the walk budget, split evenly over
+    the background rows: each b gets ceil(n_permutations / (2 n_background))
+    pairs of walks, a uniform permutation of D_b and its reverse
+    (antithetic sampling), so each b gets at least two walks. A b with an
+    empty D_b gets none: its game is constant and adds 0. φ is the sum of
+    all walk steps' gains over n_background x (walks per b). Every walk's
+    gains add up to f(x) - f(b), so Σφ = f(x) - mean_b f(b) to rounding.
+    The walks are the stable argsorts of one block of uniforms per at most
+    `_SCRATCH_CELLS // max |D_b|` pairs, drawn from the seed's generator.
+
     Each distinct restricted composite is predicted once, in both regimes.
     For background row b, D_b is the set of features with a split that
     sends the instance and b to different sides (`model.routing_differs`;
@@ -486,13 +522,13 @@ def explain_shapley(model, row: np.ndarray, config: ShapleyConfig,
     prediction: the composite of coalition S predicts the same as its
     restriction, which takes only S ∩ D_b from the instance. The exact
     regime predicts the 2^|D_b| restrictions of each b (not 2^d) and
-    gathers v(S) from them; the sampled regime keys every walk step by b
-    and S ∩ D_b and predicts one restriction per distinct key. Both give
-    the same values, bit for bit, as predicting every composite.
+    gathers v(S) from them; the sampled regime keys every walk start and
+    step by b and S ∩ D_b and predicts one restriction per distinct key.
+    Both give the same values, bit for bit, as predicting every composite.
 
     Scratch memory is bounded by those distinct restrictions, not by
     n_permutations x d or 2^d x n_background: the sampled regime keeps one
-    entry per walk start and per step that adds a feature of D_b, the exact
+    entry per walk start and per walk step (a feature of D_b), the exact
     regime the 2^|D_b| predictions per b and 2^d coalition values, and each
     predict call gets at most `_SCRATCH_CELLS // d` composite rows.
     """

@@ -106,21 +106,20 @@ def _weight_terms(w: np.ndarray) -> tuple[np.ndarray, bool]:
     return terms, guarded
 
 
-def stability_by_weight(w: np.ndarray) -> float:
+def stability_by_weight(w: np.ndarray) -> tuple[float, bool]:
     """1 - mean over columns of (unbiased weight variance / |mean weight|)
-    of the (M, d) weight grid w. At most 1 (zero variance everywhere),
-    unbounded below."""
+    of the (M, d) weight grid w, and whether the WEIGHT_MEAN_EPSILON guard
+    acted. At most 1 (zero variance everywhere), unbounded below."""
     _check_grid(w, "weight")
-    terms, _ = _weight_terms(w)
-    return 1.0 - float(terms.mean())
+    terms, guarded = _weight_terms(w)
+    return 1.0 - float(terms.mean()), guarded
 
 
-def score_stability(es: ExplanationSet, k: int) -> StabilityScore:
-    """Both stability variants for one instance's repeated explanations."""
-    z = build_subset_matrix(es, k)
-    w = build_weight_matrix(es)
-    by_weight = stability_by_weight(w)  # refuses a non-finite grid first
-    _, guarded = _weight_terms(w)
+def score_stability(es: ExplanationSet, z: np.ndarray, w: np.ndarray) -> StabilityScore:
+    """Both stability variants for one instance's repeated explanations es,
+    from its selection grid z (build_subset_matrix) and weight grid w
+    (build_weight_matrix)."""
+    by_weight, guarded = stability_by_weight(w)  # refuses a non-finite grid first
     flags = []
     if guarded:
         flags.append(FLAG_EPSILON_GUARD)
@@ -130,13 +129,13 @@ def score_stability(es: ExplanationSet, k: int) -> StabilityScore:
                           flags=tuple(flags))
 
 
-def select_perturbation_targets(es: ExplanationSet, k: int) -> list[int]:
-    """Columns selected most often across the M top-k subsets; budget is
-    ceil(0.1 * d), at least 1. Ties rank by larger mean |weight|, then
-    lower column index."""
-    occurrences = build_subset_matrix(es, k).sum(axis=0)
-    mean_abs = np.abs(build_weight_matrix(es)).mean(axis=0)
-    d = es.n_features
+def select_perturbation_targets(z: np.ndarray, w: np.ndarray) -> list[int]:
+    """Columns selected most often across the M top-k subsets of the
+    selection grid z; budget is ceil(0.1 * d), at least 1. Ties rank by
+    larger mean |weight| in the weight grid w, then lower column index."""
+    occurrences = z.sum(axis=0)
+    mean_abs = np.abs(w).mean(axis=0)
+    d = z.shape[1]
     budget = max(1, math.ceil(TARGET_FRACTION * d))
     order = sorted(range(d), key=lambda j: (-occurrences[j], -mean_abs[j], j))
     return order[:budget]
@@ -171,17 +170,20 @@ def _fallback_region(value: float, std: float) -> InfluentialRegion:
 def influential_interval(es: ExplanationSet, column: int,
                          region_matrix: FeatureMatrix,
                          attributions: np.ndarray | None, row: np.ndarray,
-                         train_stats: MatrixStats) -> InfluentialRegion:
+                         train_stats: MatrixStats,
+                         domain: ObservedDomain | None) -> InfluentialRegion:
     """The feature-value region the explanations mark influential for one
     column of the instance `row`.
 
-    Binary indicator columns always yield the complement of the instance's
-    value. Surrogate sets yield the modal interval attached to the column
-    across the M explanations. Attribution-value sets (Shapley) yield the
-    [min, max] of the column's values over the region_matrix rows whose
-    attribution for this column falls in the same SHAPLEY_BINS-quantile bin
-    as this instance's mean attribution (attributions: that column's
-    attribution value per region_matrix row; None for surrogate sets).
+    Binary indicator columns (by `domain`, the column's observed domain in
+    region_matrix; None when it holds no value there) always yield the
+    complement of the instance's value. Surrogate sets yield the modal
+    interval attached to the column across the M explanations.
+    Attribution-value sets (Shapley) yield the [min, max] of the column's
+    values over the region_matrix rows whose attribution for this column
+    falls in the same SHAPLEY_BINS-quantile bin as this instance's mean
+    attribution (attributions: that column's attribution value per
+    region_matrix row; None for surrogate sets).
 
     When no region can be read off, falls back to the instance's value
     (the training mean when missing) plus/minus one training standard
@@ -191,10 +193,6 @@ def influential_interval(es: ExplanationSet, column: int,
     if math.isnan(value):
         value = float(train_stats.means[column])
 
-    try:
-        domain = feature_domain(region_matrix, column)
-    except AllMissingColumn:
-        domain = None
     if domain is not None and domain.is_binary_indicator:
         if math.isnan(float(row[column])):
             allowed: tuple[float, ...] = (0.0, 1.0)  # missing cell: both values lie outside
@@ -288,32 +286,34 @@ def _integer_values(domain: ObservedDomain,
     return tuple(float(v) for v in allowed)
 
 
-def build_perturbation_plan(es: ExplanationSet, region_matrix: FeatureMatrix,
-                            train_stats: MatrixStats, k: int, n_perturbations: int,
-                            row: np.ndarray,
+def build_perturbation_plan(es: ExplanationSet, targets: list[int],
+                            region_matrix: FeatureMatrix, train_stats: MatrixStats,
+                            n_perturbations: int, row: np.ndarray,
                             attribution_matrix: np.ndarray | None) -> PerturbationPlan:
-    """Assemble the fidelity protocol's plan for the instance `row`: the top
-    10% most commonly selected columns, each with its influential region and
-    a sampling domain = observed domain minus that region (extended outward
-    when the region swallows the domain).
+    """Assemble the fidelity protocol's plan for the instance `row`: the
+    target columns (select_perturbation_targets), each with its influential
+    region and a sampling domain = observed domain minus that region
+    (extended outward when the region swallows the domain).
 
     attribution_matrix: (region_matrix.n, d) attribution values of the
     region_matrix rows, which attribution-value explainers (Shapley) infer
     regions from; None for surrogate sets."""
-    targets = select_perturbation_targets(es, k)
     built = []
     flags: set[str] = set()
     for col in targets:
+        try:
+            domain = feature_domain(region_matrix, col)
+        except AllMissingColumn:
+            domain = None
         attr_col = None if attribution_matrix is None else attribution_matrix[:, col]
-        region = influential_interval(es, col, region_matrix, attr_col, row, train_stats)
+        region = influential_interval(es, col, region_matrix, attr_col, row, train_stats,
+                                      domain)
         if region.fallback:
             flags.add(FLAG_INTERVAL_FALLBACK)
         if region.kind == "complement":
             built.append(PerturbationTarget(col, values=region.values))
             continue
-        try:
-            domain = feature_domain(region_matrix, col)
-        except AllMissingColumn:
+        if domain is None:
             domain = train_stats.domains[col]
         if domain is None:
             raise AllMissingColumn(col)
@@ -413,9 +413,10 @@ def evaluate_instance(model, es: ExplanationSet, region_matrix: FeatureMatrix,
     es of the instance `row`; the one-row-per-instance record the report
     tables aggregate. region_matrix, train_stats and attribution_matrix are
     the explainer's assets (harness.build_explainer_assets)."""
-    stability = score_stability(es, k)
-    plan = build_perturbation_plan(es, region_matrix, train_stats, k, n_perturbations,
-                                   row, attribution_matrix)
+    z, w = build_subset_matrix(es, k), build_weight_matrix(es)
+    stability = score_stability(es, z, w)
+    plan = build_perturbation_plan(es, select_perturbation_targets(z, w), region_matrix,
+                                   train_stats, n_perturbations, row, attribution_matrix)
     fid = fidelity(model, row, plan, rng)
     return ScoreRecord(
         y_original=fid.y_original,

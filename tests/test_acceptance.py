@@ -44,6 +44,8 @@ from exqual.metrics import (
     PerturbationTarget,
     _continuous_segments,
     _integer_values,
+    build_subset_matrix,
+    build_weight_matrix,
     fidelity,
     score_stability,
     stability_by_subset,
@@ -100,7 +102,7 @@ def test_criterion_01_metric_oracles():
         got = stability_by_subset(z)
         assert abs(got - _oracle_subset(z.tolist())) <= 1e-12
         w = rng.normal(size=(m, d)) * rng.random(d)
-        got_w = stability_by_weight(w)
+        got_w, _ = stability_by_weight(w)
         assert abs(got_w - _oracle_weight(w.tolist())) <= 1e-12
         checked += 1
 
@@ -110,8 +112,8 @@ def test_criterion_01_metric_oracles():
     assert subset([[1, 1, 0, 0], [1, 0, 1, 0]]) == 0.0
     assert abs(subset([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0]])
                - 1.0 / 3.0) <= 1e-12
-    assert stability_by_weight(np.array([[1.0, 0.0], [1.0, 1.0]])) == 0.5
-    assert abs(stability_by_weight(np.array([[0.5], [2.5]])) - (-1.0 / 3.0)) <= 1e-12
+    assert stability_by_weight(np.array([[1.0, 0.0], [1.0, 1.0]])) == (0.5, False)
+    assert abs(stability_by_weight(np.array([[0.5], [2.5]]))[0] - (-1.0 / 3.0)) <= 1e-12
     _passed(1, "500 random fixtures match independent oracles at 1e-12; "
                "hand-derived values exact")
 
@@ -166,7 +168,7 @@ def test_criterion_02_deterministic_explainer_perfect_stability():
     for i in range(test_matrix.n):
         es = repeat_explanations(explainer, model, test_matrix.rows[i],
                                  m=10, base_seed=1000 + i)
-        score = score_stability(es, k=4)
+        score = score_stability(es, build_subset_matrix(es, 4), build_weight_matrix(es))
         assert score.by_subset == 1.0, f"row {i}"
         assert score.by_weight == 1.0, f"row {i}"
     _passed(2, f"exact Shapley with M=10 scored 1.0/1.0 on all "

@@ -147,7 +147,7 @@ def test_sampled_shapley_exact_for_linear_single_background():
     assert np.allclose(exp.weight_vector(), w * (row - b_row), atol=1e-10)
 
 
-def test_sampled_shapley_efficiency_within_mc_tolerance_and_deterministic():
+def test_sampled_shapley_efficiency_exact_and_deterministic():
     rng = np.random.default_rng(11)
     d = 18
     rows = rng.normal(size=(200, d))
@@ -161,12 +161,10 @@ def test_sampled_shapley_efficiency_within_mc_tolerance_and_deterministic():
     assert np.array_equal(exp.weight_vector(), again.weight_vector())
 
     f_row = float(predict_proba_rows(model, row[None, :])[0])
-    preds_bg = predict_proba_rows(model, bg)
-    target = f_row - float(preds_bg.mean())
-    # the only sampling error in Σφ is the Monte-Carlo mean over drawn
-    # background rows: allow 3 standard errors
-    tol = 3.0 * float(preds_bg.std()) / math.sqrt(cfg.n_permutations)
-    assert abs(exp.weight_vector().sum() - target) <= tol
+    target = f_row - float(predict_proba_rows(model, bg).mean())
+    # every background row gets the same number of walks, and each walk's
+    # gains add up to f(x) - f(b): only rounding is left
+    assert abs(exp.weight_vector().sum() - target) <= 1e-9
 
 
 REFERENCE_EXACT_ROWS = 262144  # composite rows per predict call, exact reference
@@ -199,8 +197,10 @@ def reference_exact_shapley(predict, row, background):
     return phi
 
 
-def reference_sampled_shapley(predict, row, background, n_permutations, rng):
-    """Permutation-sampled Shapley that predicts all d + 1 steps of every walk."""
+def baseline_sampled_shapley(predict, row, background, n_permutations, rng):
+    """The estimator that the stratified walks replaced, kept as the error
+    baseline: every walk is a permutation of all d features over a random
+    background row, and every one of its d + 1 steps is predicted."""
     d = row.shape[0]
     n_bg = background.shape[0]
     phi = np.zeros(d)
@@ -224,6 +224,65 @@ def reference_sampled_shapley(predict, row, background, n_permutations, rng):
             phi[perms[p]] += gains[p]
         done += b
     return phi / n_permutations
+
+
+def stratified_walks(differs, n_permutations, rng):
+    """(b, D_b's columns in walk order) for every walk the sampled regime
+    takes: each b with a nonempty D_b gets ceil(n / (2 n_bg)) uniform
+    permutations of D_b, each followed by its reverse. Permutation r is the
+    stable argsort of uniform row r, whose columns from |D_b| on are padded
+    to sort last; all rows come from one generator call."""
+    n_bg = differs.shape[0]
+    sizes = differs.sum(axis=1)
+    pairs = -(-n_permutations // (2 * n_bg))
+    active = np.repeat(np.flatnonzero(sizes), pairs)
+    if active.size == 0:
+        return []
+    u = rng.random((active.size, int(sizes.max())))
+    walks = []
+    for r, b in enumerate(active):
+        u[r, sizes[b]:] = 1.0
+        cols = np.flatnonzero(differs[b])[np.argsort(u[r], kind="stable")[:sizes[b]]]
+        walks += [(int(b), cols), (int(b), cols[::-1])]
+    return walks
+
+
+def reference_sampled_shapley(predict, row, background, differs, n_permutations, rng):
+    """Sampled Shapley that predicts every step of every stratified walk,
+    the start included, and sums each walk's gains in walk order."""
+    n_bg, d = differs.shape
+    phi = np.zeros(d)
+    for b, cols in stratified_walks(differs, n_permutations, rng):
+        composites = np.repeat(background[b][None, :], cols.size + 1, axis=0)
+        for t, j in enumerate(cols):
+            composites[t + 1:, j] = row[j]
+        phi[cols] += np.diff(predict(composites))
+    return phi / (n_bg * 2 * -(-n_permutations // (2 * n_bg)))
+
+
+def per_b_exact_shapley(predict, row, background, differs):
+    """The Shapley value as the mean over b of b's own exact Shapley value:
+    the game of b is v_b(S) = f(composite of S with b), in which only D_b's
+    features can change the value, so it enumerates the 2^|D_b| subsets of
+    D_b. Exact at any d where every |D_b| is small."""
+    n_bg, d = differs.shape
+    phi = np.zeros(d)
+    for b in range(n_bg):
+        cols = np.flatnonzero(differs[b])
+        k = cols.size
+        masks = np.arange(1 << k)
+        inside = ((masks[:, None] >> np.arange(k)) & 1).astype(bool)
+        composites = np.repeat(background[b][None, :], 1 << k, axis=0)
+        for i, j in enumerate(cols):
+            composites[inside[:, i], j] = row[j]
+        v = predict(composites)
+        weight = np.array([math.factorial(s) * math.factorial(k - 1 - s) / math.factorial(k)
+                           for s in range(k)])
+        for i, j in enumerate(cols):
+            without = masks[~inside[:, i]]
+            gains = v[without | (1 << i)] - v[without]
+            phi[j] += np.sum(weight[inside[without].sum(axis=1)] * gains)
+    return phi / n_bg
 
 
 def gbt_with_missing(d, seed):
@@ -258,28 +317,66 @@ def test_sampled_shapley_bit_identical_to_full_walks(seed):
     model, rows, bg = gbt_with_missing(d, 10 + seed)
     row = rows[200 + seed]
     assert np.isnan(row).any() and np.isnan(bg).any()
-    assert routing_differs(model, row, bg).sum(axis=1).max() < d
+    differs = routing_differs(model, row, bg)
+    assert differs.sum(axis=1).max() < d
     predict = lambda block: predict_proba_rows(model, block)
     cfg = ShapleyConfig(background=bg, n_permutations=300)
     exp = explain_shapley(model, row, cfg, seed=seed)
-    expected = reference_sampled_shapley(predict, row, bg, cfg.n_permutations,
+    expected = reference_sampled_shapley(predict, row, bg, differs, cfg.n_permutations,
                                          np.random.default_rng(seed))
     assert np.array_equal(exp.weight_vector(), expected)
 
 
+@pytest.mark.parametrize("n_permutations", [1, 5, 31, 32, 33])
+def test_sampled_shapley_bit_identical_at_any_walk_budget(n_permutations):
+    # 16 background rows: budgets below n_background, not divisible by
+    # 2 * n_background, and divisible; each b gets 2 * ceil(n / 32) walks
+    d = 19
+    model, rows, bg = gbt_with_missing(d, 11)
+    row = rows[201]
+    differs = routing_differs(model, row, bg)
+    assert differs.any(axis=1).all()
+    walks = stratified_walks(differs, n_permutations, np.random.default_rng(3))
+    per_b = np.bincount([b for b, _ in walks], minlength=16)
+    assert (per_b == 2 * -(-n_permutations // 32)).all()
+    predict = lambda block: predict_proba_rows(model, block)
+    cfg = ShapleyConfig(background=bg, n_permutations=n_permutations)
+    phi = explain_shapley(model, row, cfg, seed=3).weight_vector()
+    expected = reference_sampled_shapley(predict, row, bg, differs, n_permutations,
+                                         np.random.default_rng(3))
+    assert np.array_equal(phi, expected)
+    target = float(predict(row[None, :])[0]) - float(predict(bg).mean())
+    assert abs(phi.sum() - target) <= 1e-9
+
+
+def test_sampled_shapley_predicts_nothing_when_every_background_row_routes_like_the_instance(
+        monkeypatch):
+    # every D_b is empty: every b is a null game, so no walk is taken
+    model, rows, _ = gbt_with_missing(19, 30)
+    row = rows[120]
+    bg = np.repeat(row[None, :], 4, axis=0)
+    assert not routing_differs(model, row, bg).any()
+    calls = []
+
+    def counting(mdl, block):
+        calls.append(block.shape[0])
+        return predict_proba_rows(mdl, block)
+
+    monkeypatch.setattr(explain, "predict_proba_rows", counting)
+    exp = explain_shapley(model, row, ShapleyConfig(background=bg), seed=1)
+    assert calls == []
+    assert np.array_equal(exp.weight_vector(), np.zeros(19))
+
+
 def distinct_walk_composites(differs, n_permutations, rng):
-    """The distinct (b, S ∩ D_b) pairs over every step of the full walks,
-    S ∩ D_b as a bitmask over the original column indices."""
-    n_bg, d = differs.shape
+    """The distinct (b, S ∩ D_b) pairs over every step of the stratified
+    walks, the starts included, S ∩ D_b as a bitmask over the columns."""
     seen = set()
-    for _ in range(n_permutations):
-        perm = rng.permutation(d)
-        b = int(rng.integers(0, n_bg))
+    for b, cols in stratified_walks(differs, n_permutations, rng):
         mask = 0
         seen.add((b, mask))
-        for j in perm:
-            if differs[b, j]:
-                mask |= 1 << int(j)
+        for j in cols:
+            mask |= 1 << int(j)
             seen.add((b, mask))
     return len(seen)
 
@@ -310,19 +407,21 @@ def test_sampled_shapley_two_word_keys_bit_identical_for_opaque_model():
     d = 40  # D_b is all 40 features: each step's key spans two 31-bit words
     rng = np.random.default_rng(8)
     row, bg = rng.normal(size=d), rng.normal(size=(16, d))
+    differs = np.ones((16, d), dtype=bool)
     calls = []
 
     def predict(block):  # row-wise: element-wise terms and a per-row sum
         calls.append(block.shape[0])
         return np.tanh(block[:, 0] * block[:, 39]) + (block * np.cos(block)).sum(axis=1)
 
-    cfg = ShapleyConfig(background=bg, n_permutations=300)
+    cfg = ShapleyConfig(background=bg, n_permutations=2000)
+    assert 16 * 63 > _SCRATCH_CELLS // d  # the walks are drawn in two calls
     exp = explain_shapley(predict, row, cfg, seed=6)
-    expected = distinct_walk_composites(np.ones((16, d), dtype=bool), cfg.n_permutations,
+    expected = distinct_walk_composites(differs, cfg.n_permutations,
                                         np.random.default_rng(6))
     assert sum(calls) == expected > _SCRATCH_CELLS // d
     assert max(calls) <= _SCRATCH_CELLS // d
-    reference = reference_sampled_shapley(predict, row, bg, cfg.n_permutations,
+    reference = reference_sampled_shapley(predict, row, bg, differs, cfg.n_permutations,
                                           np.random.default_rng(6))
     assert np.array_equal(exp.weight_vector(), reference)
 
@@ -335,12 +434,13 @@ def test_sampled_shapley_two_word_keys_bit_identical_on_gbt():
     y = (np.nan_to_num(rows).sum(axis=1) > 0).astype(int)
     model = train_gbt(matrix_from(rows, y), GBTConfig(n_trees=80, max_depth=3, min_leaf=5))
     row, bg = rows[100], rows[:16]
-    sizes = routing_differs(model, row, bg).sum(axis=1)
+    differs = routing_differs(model, row, bg)
+    sizes = differs.sum(axis=1)
     assert sizes.min() < d and sizes.max() > 31  # tree-aware keys of two words
     predict = lambda block: predict_proba_rows(model, block)
     cfg = ShapleyConfig(background=bg, n_permutations=300)
     exp = explain_shapley(model, row, cfg, seed=2)
-    expected = reference_sampled_shapley(predict, row, bg, cfg.n_permutations,
+    expected = reference_sampled_shapley(predict, row, bg, differs, cfg.n_permutations,
                                          np.random.default_rng(2))
     assert np.array_equal(exp.weight_vector(), expected)
 
@@ -353,17 +453,53 @@ def test_shapley_bit_identical_when_background_rows_route_like_the_instance(d, c
     row = rows[120]
     bg = bg.copy()
     bg[:copies] = row
-    assert not routing_differs(model, row, bg)[:copies].any()
+    differs = routing_differs(model, row, bg)
+    assert not differs[:copies].any()
     predict = lambda block: predict_proba_rows(model, block)
     cfg = ShapleyConfig(background=bg, n_permutations=200)
     exp = explain_shapley(model, row, cfg, seed=5)
     if d <= cfg.exact_max_d:
         expected = reference_exact_shapley(predict, row, bg)
     else:
-        expected = reference_sampled_shapley(predict, row, bg, cfg.n_permutations,
+        expected = reference_sampled_shapley(predict, row, bg, differs, cfg.n_permutations,
                                              np.random.default_rng(5))
     assert np.array_equal(exp.weight_vector(), expected)
     assert (copies < 16) == exp.weight_vector().any()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_per_b_oracle_matches_full_enumeration(seed):
+    d = 12
+    model, rows, bg = gbt_with_missing(d, seed)
+    row = rows[100 + seed]
+    differs = routing_differs(model, row, bg)
+    predict = lambda block: predict_proba_rows(model, block)
+    oracle = per_b_exact_shapley(predict, row, bg, differs)
+    assert np.allclose(oracle, reference_exact_shapley(predict, row, bg), rtol=0, atol=1e-12)
+
+
+def relative_error(phi, oracle):
+    return float(np.linalg.norm(phi - oracle) / np.abs(oracle).sum())
+
+
+def test_stratified_walks_cut_the_error_at_equal_walks():
+    # eight sampled-regime cases (d = 19) whose D_b are small enough for the
+    # per-b oracle: the engine's median error is at most a third of the
+    # replaced estimator's at the same n_permutations
+    n_permutations = 200
+    errors, baseline = [], []
+    for case in range(8):
+        model, rows, bg = gbt_with_missing(19, 40 + case)
+        predict = lambda block: predict_proba_rows(model, block)
+        row = next(r for r in rows[150:] if routing_differs(model, r, bg).sum(axis=1).max() <= 12)
+        oracle = per_b_exact_shapley(predict, row, bg, routing_differs(model, row, bg))
+        cfg = ShapleyConfig(background=bg, n_permutations=n_permutations)
+        errors.append(relative_error(
+            explain_shapley(model, row, cfg, seed=case).weight_vector(), oracle))
+        baseline.append(relative_error(
+            baseline_sampled_shapley(predict, row, bg, n_permutations,
+                                     np.random.default_rng(case)), oracle))
+    assert np.median(errors) <= np.median(baseline) / 3
 
 
 def traced_peak(fn):
@@ -566,6 +702,54 @@ def test_surrogate_intervals_by_column_kind():
     by_col = {a.column_index: a for a in flat.attributions}
     assert by_col[0].interval == pytest.approx(
         (row[0] - stats.scales[0], row[0] + stats.scales[0]))
+
+
+def reference_fit_design(samples, x, stats, discretize):
+    """The per-column loop that explain._fit_design replaced."""
+    n, d = samples.shape
+    design = np.empty((n, d))
+    for j in range(d):
+        if stats.domains[j] is None:
+            design[:, j] = 0.0
+        elif not np.isnan(stats.p_one[j]):
+            design[:, j] = (samples[:, j] == x[j]).astype(np.float64)
+        elif discretize and stats.bin_edges[j] is not None:
+            target = stats.bin_of(j, x[j])
+            inner = stats.bin_edges[j][1:-1]
+            sample_bins = np.searchsorted(inner, samples[:, j], side="left")
+            design[:, j] = (sample_bins == target).astype(np.float64)
+        else:
+            design[:, j] = samples[:, j]
+    return design
+
+
+@pytest.mark.parametrize("discretize", [True, False])
+def test_fit_design_matches_the_per_column_loop_bit_for_bit(discretize):
+    # binary, continuous, integer-valued (tied quartile edges), all-missing
+    # and constant columns; samples on the edges, missing and out of range
+    rng = np.random.default_rng(17)
+    n = 200
+    rows = np.column_stack([
+        (rng.random(n) < 0.3).astype(float), rng.normal(size=n),
+        rng.integers(0, 3, size=n).astype(float), np.full(n, np.nan), np.full(n, 2.5),
+        rng.exponential(size=n)])
+    descs = (FeatureDescriptor(0, "flag", "static_onehot", category="a"),) + tuple(
+        FeatureDescriptor(j, f"f{j}", "static_numeric") for j in range(1, 6))
+    stats = MatrixStats.from_matrix(FeatureMatrix(
+        rows=rows, descriptors=descs, labels=np.asarray(np.arange(n) % 2, dtype=np.int8),
+        case_ids=tuple(f"c{i}" for i in range(n)),
+        prefix_lengths=np.ones(n, dtype=np.int64), bucket_id="all"))
+    for row in (rows[3], rows[7], np.array([1.0, 0.0, 1.0, np.nan, 2.5, 0.0])):
+        samples = sample_neighborhood(row, stats, 500, np.random.default_rng(2),
+                                      discretize_numeric=discretize)
+        for j, edges in enumerate(stats.bin_edges):
+            if edges is not None:
+                samples[1:4, j] = edges[1:-1]  # exactly on each inner edge
+        samples[6, 1:] = np.nan
+        samples[7, 1:] = 1e9
+        got = explain._fit_design(samples, samples[0], stats, discretize)
+        expected = reference_fit_design(samples, samples[0], stats, discretize)
+        assert np.array_equal(got, expected, equal_nan=True)
 
 
 def test_neighborhood_sampling_distributions():

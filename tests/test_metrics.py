@@ -4,7 +4,8 @@ formula oracles, and the perturbation protocol's disjointness guarantees."""
 import numpy as np
 import pytest
 
-from exqual.encoding import FeatureDescriptor, FeatureMatrix, MatrixStats
+from exqual import metrics
+from exqual.encoding import FeatureDescriptor, FeatureMatrix, MatrixStats, feature_domain
 from exqual.errors import DegenerateSubsetSize, EmptyInput, InvalidSpec
 from exqual.explain import (
     SHAPLEY_ID,
@@ -27,6 +28,7 @@ from exqual.metrics import (
     aggregate,
     build_perturbation_plan,
     build_subset_matrix,
+    build_weight_matrix,
     evaluate_instance,
     fidelity,
     influential_interval,
@@ -95,6 +97,11 @@ def make_set(weight_rows, d, explainer=SURROGATE_ID):
             attributions=attrs, selected_k=len(attrs), explainer_id=explainer,
             seed_used=0, n_features=d))
     return ExplanationSet(explanations=tuple(explanations))
+
+
+def grids(es, k):
+    """The selection and weight grids that evaluate_instance scores es by."""
+    return build_subset_matrix(es, k), build_weight_matrix(es)
 
 
 def grid(rows):
@@ -175,19 +182,19 @@ def test_subset_below_zero_warns_instead_of_failing():
 
 def test_weight_identical_rows_scores_one():
     w = np.array([[0.3, -1.2, 0.0]] * 4)
-    assert stability_by_weight(w) == 1.0
+    assert stability_by_weight(w) == (1.0, False)
 
 
 def test_weight_hand_example_half():
     # rows (1, 0) and (1, 1): column terms 0 and 1, mean 0.5
     w = np.array([[1.0, 0.0], [1.0, 1.0]])
-    assert stability_by_weight(w) == 0.5
+    assert stability_by_weight(w) == (0.5, False)
 
 
 def test_weight_hand_example_negative_third():
     # single column with weights 0.5 and 2.5: 1 - (2 / 1.5)
     w = np.array([[0.5], [2.5]])
-    assert abs(stability_by_weight(w) - (-1.0 / 3.0)) <= 1e-12
+    assert abs(stability_by_weight(w)[0] - (-1.0 / 3.0)) <= 1e-12
 
 
 def test_weight_matches_oracle_on_random_grids():
@@ -196,20 +203,20 @@ def test_weight_matches_oracle_on_random_grids():
         m = int(rng.integers(2, 9))
         d = int(rng.integers(1, 12))
         w = rng.normal(size=(m, d)) * rng.random(d)  # varied column scales
-        got = stability_by_weight(w)
+        got, _ = stability_by_weight(w)
         assert abs(got - oracle_weight_stability(w.tolist())) <= 1e-12
 
 
 def test_weight_zero_column_contributes_zero():
     # an always-unselected feature must not drag the score down
     w = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert stability_by_weight(w) == 1.0
+    assert stability_by_weight(w) == (1.0, False)
 
 
 def test_weight_epsilon_guard_flags_and_scores():
     # column 0: mean 0 but variance 2 -> denominator guarded, score dives
     es = make_set([{0: -1.0, 1: 0.3}, {0: 1.0, 1: 0.3}], d=3)
-    score = score_stability(es, k=2)
+    score = score_stability(es, *grids(es, 2))
     assert FLAG_EPSILON_GUARD in score.flags
     assert abs(score.by_weight - (1.0 - (2.0 / 1e-8) / 3.0)) <= 1e-3
 
@@ -233,7 +240,7 @@ def test_weight_terms_match_the_per_column_loop_bit_for_bit():
         expected, expected_guarded = reference_weight_terms(w)
         assert terms.tolist() == expected.tolist()
         assert guarded == expected_guarded
-        assert stability_by_weight(w) == 1.0 - float(expected.mean())
+        assert stability_by_weight(w) == (1.0 - float(expected.mean()), expected_guarded)
         guarded_grids += guarded
         zero_variance_columns += int(np.sum(kind == 1))
     assert 0 < guarded_grids < 300 and zero_variance_columns > 0
@@ -274,7 +281,7 @@ def test_build_subset_matrix_ignores_exact_zero_weights():
 
 def test_score_stability_combines_both_metrics():
     es = make_set([{0: 1.0, 1: 0.5}, {0: 1.0, 2: 0.5}], d=4)
-    score = score_stability(es, k=2)
+    score = score_stability(es, *grids(es, 2))
     assert score.by_subset == 0.0  # {0,1} vs {0,2} over d=4
     # columns: (1,1) term 0; (0.5,0) var .125 mean .25 -> 0.5; (0,0.5) -> 0.5
     assert abs(score.by_weight - (1.0 - 1.0 / 4.0)) <= 1e-12
@@ -294,7 +301,7 @@ def test_exact_shapley_repeats_are_perfectly_stable():
         return explain_shapley(mdl, r, config, seed)
 
     es = repeat_explanations(explainer, model, row, m=5, base_seed=42)
-    score = score_stability(es, k=2)
+    score = score_stability(es, *grids(es, 2))
     assert score.by_subset == 1.0
     assert score.by_weight == 1.0
 
@@ -303,18 +310,18 @@ def test_exact_shapley_repeats_are_perfectly_stable():
 
 def test_target_budget_is_ceil_ten_percent():
     es = make_set([{0: 1.0}, {0: 1.0}], d=134)
-    assert len(select_perturbation_targets(es, k=1)) == 14
+    assert len(select_perturbation_targets(*grids(es, 1))) == 14
     es_small = make_set([{0: 1.0}, {0: 1.0}], d=5)
-    assert len(select_perturbation_targets(es_small, k=1)) == 1
+    assert len(select_perturbation_targets(*grids(es_small, 1))) == 1
 
 
 def test_target_ordering_by_occurrence_then_weight_then_index():
     # column 2 selected twice; columns 0 and 4 once each, 4 carries more weight
     es = make_set([{2: 1.0, 0: 0.2}, {2: 0.9, 4: 0.8}], d=20)
-    targets = select_perturbation_targets(es, k=2)
+    targets = select_perturbation_targets(*grids(es, 2))
     assert targets == [2, 4]  # budget ceil(2) = 2
     es_wide = make_set([{2: 1.0, 0: 0.2}, {2: 0.9, 4: 0.8}], d=30)
-    assert select_perturbation_targets(es_wide, k=2) == [2, 4, 0]
+    assert select_perturbation_targets(*grids(es_wide, 2)) == [2, 4, 0]
 
 
 # --------------------------------------------------- influential regions
@@ -343,7 +350,7 @@ def test_surrogate_modal_interval():
     rows = np.array([[0.0, 1.5], [1.0, 2.5], [2.0, 0.5], [3.0, 3.5]])
     matrix = continuous_matrix(rows)
     region = influential_interval(es, 1, matrix, None, rows[0],
-                                  MatrixStats.from_matrix(matrix))
+                                  MatrixStats.from_matrix(matrix), feature_domain(matrix, 1))
     assert region.kind == "interval" and region.interval == (0.0, 2.0)
     assert not region.fallback
 
@@ -352,7 +359,7 @@ def test_surrogate_modal_tie_breaks_to_smaller_interval():
     es = surrogate_set(0, 1, [(0.5, (1.0, 3.0)), (0.5, (0.0, 2.0))])
     matrix = continuous_matrix(np.array([[0.5], [1.5], [2.5]]))
     region = influential_interval(es, 0, matrix, None, matrix.rows[0],
-                                  MatrixStats.from_matrix(matrix))
+                                  MatrixStats.from_matrix(matrix), feature_domain(matrix, 0))
     assert region.interval == (0.0, 2.0)
 
 
@@ -361,7 +368,8 @@ def test_missing_interval_falls_back_to_one_training_std():
     rows = np.array([[0.0, 10.5], [1.0, 20.0], [2.0, 30.0], [3.5, 40.0]])
     matrix = continuous_matrix(rows)
     stats = MatrixStats.from_matrix(continuous_matrix(rows * 3.0))  # not the region rows
-    region = influential_interval(es, 1, matrix, None, rows[1], stats)
+    region = influential_interval(es, 1, matrix, None, rows[1], stats,
+                                  feature_domain(matrix, 1))
     assert region.fallback
     value = 20.0  # the instance's value at column 1
     std = float(stats.scales[1])
@@ -379,11 +387,13 @@ def test_binary_column_region_is_value_complement():
                            bucket_id="all")
     stats = MatrixStats.from_matrix(matrix)
     es = make_set([{0: 1.0}, {0: 0.8}], d=2)
-    region = influential_interval(es, 0, matrix, None, rows[0], stats)
+    domain = feature_domain(matrix, 0)
+    region = influential_interval(es, 0, matrix, None, rows[0], stats, domain)
     assert region.kind == "complement" and region.values == (0.0,)
-    region1 = influential_interval(es, 0, matrix, None, rows[1], stats)
+    region1 = influential_interval(es, 0, matrix, None, rows[1], stats, domain)
     assert region1.values == (1.0,)
-    missing = influential_interval(es, 0, matrix, None, np.array([np.nan, 3.5]), stats)
+    missing = influential_interval(es, 0, matrix, None, np.array([np.nan, 3.5]), stats,
+                                   domain)
     assert missing.values == (0.0, 1.0)
 
 
@@ -396,7 +406,7 @@ def test_shapley_region_uses_attribution_deciles():
     shap_col = np.arange(n, dtype=np.float64)
     es = make_set([{0: 0.0}, {0: 0.0}], d=1, explainer=SHAPLEY_ID)
     region = influential_interval(es, 0, matrix, shap_col, rows[0],
-                                  MatrixStats.from_matrix(matrix))
+                                  MatrixStats.from_matrix(matrix), feature_domain(matrix, 0))
     assert region.kind == "interval"
     assert region.interval == (0.5, 1.5)  # rows 0 and 1 share the first decile
 
@@ -409,8 +419,9 @@ def test_shapley_region_without_present_members_falls_back():
     rows[:2] = np.nan
     stats = MatrixStats.from_matrix(continuous_matrix(np.array([[2.0], [6.0]])))
     es = make_set([{0: 0.0}, {0: 0.0}], d=1, explainer=SHAPLEY_ID)
-    region = influential_interval(es, 0, continuous_matrix(rows),
-                                  np.arange(n, dtype=np.float64), np.array([np.nan]), stats)
+    matrix = continuous_matrix(rows)
+    region = influential_interval(es, 0, matrix, np.arange(n, dtype=np.float64),
+                                  np.array([np.nan]), stats, feature_domain(matrix, 0))
     assert region.fallback and region.interval == (2.0, 6.0)
 
 
@@ -418,7 +429,6 @@ def test_shapley_region_without_present_members_falls_back():
 
 def interval_target(column, domain_matrix, interval):
     from exqual.metrics import _continuous_segments
-    from exqual.encoding import feature_domain
     dom = feature_domain(domain_matrix, column)
     return PerturbationTarget(column, segments=_continuous_segments(dom, interval))
 
@@ -456,7 +466,6 @@ def test_perturb_integer_column_enumerates_allowed_values():
     rows = np.array([[0.0], [5.0], [2.0], [3.0]])
     matrix = continuous_matrix(rows, encoder="agg_count")
     from exqual.metrics import _integer_values
-    from exqual.encoding import feature_domain
     dom = feature_domain(matrix, 0)
     values = _integer_values(dom, (1.5, 3.5))
     assert values == (0.0, 1.0, 4.0, 5.0)
@@ -495,8 +504,8 @@ def test_perturbation_plan_end_to_end_with_integer_rounding():
                            prefix_lengths=np.ones(4, dtype=np.int64),
                            bucket_id="all")
     es = surrogate_set(0, 2, [(1.0, (1.5, 3.5)), (1.0, (1.5, 3.5))])
-    plan = build_perturbation_plan(es, matrix, MatrixStats.from_matrix(matrix), 1, 7,
-                                   rows[1], None)
+    plan = build_perturbation_plan(es, select_perturbation_targets(*grids(es, 1)), matrix,
+                                   MatrixStats.from_matrix(matrix), 7, rows[1], None)
     assert len(plan.targets) == 1
     assert plan.n_perturbations == 7 and plan.flags == ()
     # integer grid of the observed domain [0, 5] minus integers in [1.5, 3.5]
@@ -511,8 +520,8 @@ def test_perturbation_plan_flags_a_fallback_region():
     rows = np.array([[0.25], [10.0], [5.0]])
     matrix = continuous_matrix(rows)
     es = make_set([{0: 1.0}, {0: 0.9}], d=1)
-    plan = build_perturbation_plan(es, matrix, MatrixStats.from_matrix(matrix), 1, 3,
-                                   rows[2], None)
+    plan = build_perturbation_plan(es, select_perturbation_targets(*grids(es, 1)), matrix,
+                                   MatrixStats.from_matrix(matrix), 3, rows[2], None)
     assert plan.flags == (FLAG_INTERVAL_FALLBACK,)
 
 
@@ -602,3 +611,30 @@ def test_evaluate_instance_produces_full_record():
     assert record.by_subset == 1.0 and record.by_weight == 1.0
     assert record.f >= 0.0
     assert 0.5 <= record.y_original < 1.0
+
+
+def test_evaluate_instance_builds_each_grid_and_domain_once(monkeypatch):
+    # 12 columns: a budget of 2 targets, a one-hot and a numeric one
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(30, 12))
+    rows[:, 3] = rng.integers(0, 2, size=30)
+    descs = tuple(FeatureDescriptor(j, f"f{j}", "static_numeric") for j in range(12))
+    descs = descs[:3] + (FeatureDescriptor(3, "b", "static_onehot", category="y"),) + descs[4:]
+    matrix = FeatureMatrix(rows=rows, descriptors=descs,
+                           labels=np.asarray(np.arange(30) % 2, dtype=np.int8),
+                           case_ids=tuple(f"c{i}" for i in range(30)),
+                           prefix_lengths=np.ones(30, dtype=np.int64), bucket_id="all")
+    es = make_set([{3: 1.0, 5: 0.8, 7: 0.1}, {3: 0.9, 5: 0.7, 8: 0.2}], d=12)
+    calls = {}
+    for name in ("build_subset_matrix", "build_weight_matrix", "_weight_terms",
+                 "feature_domain"):
+        def counting(*args, _name=name, _fn=getattr(metrics, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(metrics, name, counting)
+    record = evaluate_instance(logistic_box(np.full(12, 0.1)), es, matrix,
+                               MatrixStats.from_matrix(matrix), 2, 5, None,
+                               np.random.default_rng(0), rows[0])
+    assert calls == {"build_subset_matrix": 1, "build_weight_matrix": 1,
+                     "_weight_terms": 1, "feature_domain": 2}
+    assert record.by_subset == 1.0  # columns 3 and 5 twice
