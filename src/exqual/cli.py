@@ -158,11 +158,10 @@ def _cmd_explain(args) -> int:
     matrix = _model_matrix(model, args.matrix)
     row = _instance_row(matrix, args.case, args.prefix_length)
     train_matrix = _model_matrix(model, args.train_matrix) if args.train_matrix else matrix
-    if args.explainer == SURROGATE_ID:
-        options = {"n_samples": args.n_samples, "k": args.k}
-    else:
-        options = {"n_background": args.n_background,
-                   "n_permutations": args.n_permutations}
+    names = (("n_samples", "k") if args.explainer == SURROGATE_ID
+             else ("n_background", "n_permutations"))
+    # only the flags given: each default lives in its explainer's config
+    options = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     spec = ExplainerSpec.from_dict({"id": args.explainer, **options}, args.explainer)
     explain_fn, _ = build_explain_fn(spec, train_matrix, global_seed=args.seed)
     es = repeat_explanations(explain_fn, model, row, m=args.m, base_seed=args.seed)
@@ -314,11 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=SURROGATE_ID)
     p.add_argument("--m", type=int, default=10, help="repeated explanations")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-samples", type=int, default=5000,
-                   help="surrogate neighborhood size")
-    p.add_argument("--k", type=int, default=10, help="surrogate selection size")
-    p.add_argument("--n-background", type=int, default=16)
-    p.add_argument("--n-permutations", type=int, default=2000,
+    p.add_argument("--n-samples", type=int, help="surrogate neighborhood size")
+    p.add_argument("--k", type=int, help="surrogate selection size")
+    p.add_argument("--n-background", type=int, help="Shapley background rows")
+    p.add_argument("--n-permutations", type=int,
                    help="sampled Shapley walk budget, split evenly over the "
                         "background rows")
     p.add_argument("--out", required=True, help="explanation set JSON path")

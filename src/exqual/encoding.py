@@ -326,14 +326,13 @@ class ObservedDomain:
     hi: float
     is_binary_indicator: bool
     is_integer_valued: bool
-    values: tuple[float, ...] | None  # value set for integer-valued columns
 
 
 def feature_domain(matrix: FeatureMatrix, column_index: int) -> ObservedDomain:
     """Observed value range of one column, missing cells excluded.
 
-    One-hot columns are binary indicators with value set {0, 1} regardless of
-    what was observed; count columns carry their observed integer value set.
+    One-hot columns are binary indicators; they and count columns are
+    integer valued, as is any column whose observed values all are.
     """
     if not (0 <= column_index < matrix.d):
         raise InvalidSpec(f"no column {column_index} in matrix of width {matrix.d}")
@@ -341,19 +340,16 @@ def feature_domain(matrix: FeatureMatrix, column_index: int) -> ObservedDomain:
     present = col[~np.isnan(col)]
     if present.size == 0:
         raise AllMissingColumn(column_index)
-    encoder = matrix.descriptors[column_index].encoder
+    return _domain(present, matrix.descriptors[column_index].encoder)
+
+
+def _domain(present: np.ndarray, encoder: str) -> ObservedDomain:
+    """The domain of a column whose present (non-missing) values are given."""
     is_binary = encoder in ("static_onehot", "index_onehot")
-    integral = bool(np.all(present == np.round(present)))
-    is_integer = is_binary or encoder == "agg_count" or integral
-    if is_binary:
-        values: tuple[float, ...] | None = (0.0, 1.0)
-    elif is_integer:
-        values = tuple(float(v) for v in np.unique(present))
-    else:
-        values = None
+    is_integer = (is_binary or encoder == "agg_count"
+                  or bool(np.all(present == np.round(present))))
     return ObservedDomain(lo=float(present.min()), hi=float(present.max()),
-                          is_binary_indicator=is_binary, is_integer_valued=is_integer,
-                          values=values)
+                          is_binary_indicator=is_binary, is_integer_valued=is_integer)
 
 
 @dataclass(frozen=True)
@@ -384,7 +380,7 @@ class MatrixStats:
                 edges.append(None)
                 domains.append(None)
                 continue
-            dom = feature_domain(matrix, j)
+            dom = _domain(present, matrix.descriptors[j].encoder)
             domains.append(dom)
             means[j] = float(present.mean())
             s = float(present.std(ddof=0))

@@ -5,11 +5,11 @@ Two built-in explainers over any predict function:
 * a perturbation-based local surrogate: sample a neighborhood from the
   training distribution, weight it by proximity, pick k features by
   forward selection and fit a weighted linear model;
-* a Shapley-value explainer: exact coalition enumeration for narrow
-  matrices, permutation sampling otherwise. The sampled regime gives every
-  background row b the same number of walks, in antithetic pairs (a
-  uniform permutation of D_b, defined below, and its reverse), so the
-  attributions add up to f(x) - mean_b f(b) to rounding.
+* a Shapley-value explainer: the mean over background rows b of b's own
+  Shapley values, enumerated exactly for narrow matrices and sampled
+  otherwise. The sampled regime gives every b the same number of walks, in
+  antithetic pairs (a uniform permutation of D_b, defined below, and its
+  reverse), so the attributions add up to f(x) - mean_b f(b) to rounding.
 
 `model` may be a trained `GBTModel` or any callable mapping an (n, d)
 block of rows to n prediction probabilities.
@@ -24,16 +24,16 @@ only the D_b features of its coalition from the instance. Both regimes
 predict each distinct restricted composite once: all 2^|D_b| of them per b
 in the exact regime, and those the sampled walks reach in the sampled one.
 Every value is the one predicting all composites would give, bit for bit;
-for an opaque callable D_b is every feature. A sampled walk of b orders
-D_b only: every other feature is a null player of b's game.
+for an opaque callable D_b is every feature. Every other feature is a null
+player of b's game: the exact regime sums, and a walk orders, D_b only.
 
 The Shapley explainer's working memory grows with the distinct composites,
 not with the composites it stands for. The sampled regime holds the walks'
 permutations of D_b as small integers and one entry per walk start and
 per step; the exact regime holds the 2^|D_b| predictions of each b and the
-2^d coalition values. On top of that, either regime builds at most
-`_SCRATCH_CELLS` composite cells (rows x d, or walk pairs x max |D_b| for
-the uniforms the walks are drawn from) at a time.
+subsets of one |D_b| at a time. On top of that, either regime builds at
+most `_SCRATCH_CELLS` composite cells (rows x d, or walk pairs x max |D_b|
+for the uniforms the walks are drawn from) at a time.
 """
 
 from __future__ import annotations
@@ -206,16 +206,11 @@ class ShapleyConfig:
         object.__setattr__(self, "background", bg)
         if bg.shape[0] == 0:
             raise EmptyBackground("shapley needs a non-empty background sample")
-        check_shapley_options(self.exact_max_d, self.n_permutations)
-
-
-def check_shapley_options(exact_max_d: int = 15, n_permutations: int = 2000) -> None:
-    """Refuse the Shapley options that `ShapleyConfig` refuses."""
-    if not 0 <= exact_max_d <= 20:
-        raise InvalidSpec(f"exact_max_d must be in 0..20 (exact coalition enumeration "
-                          f"is capped at d = 20), got {exact_max_d}")
-    if n_permutations < 1:
-        raise InvalidSpec(f"n_permutations must be >= 1, got {n_permutations}")
+        if not 0 <= self.exact_max_d <= 20:
+            raise InvalidSpec(f"exact_max_d must be in 0..20 (exact coalition enumeration "
+                              f"is capped at d = 20), got {self.exact_max_d}")
+        if self.n_permutations < 1:
+            raise InvalidSpec(f"n_permutations must be >= 1, got {self.n_permutations}")
 
 
 def sample_neighborhood(row: np.ndarray, stats: MatrixStats, n_samples: int,
@@ -371,55 +366,66 @@ def _surrogate_interval(j: int, x: np.ndarray, stats: MatrixStats,
     return (float(x[j] - stats.scales[j]), float(x[j] + stats.scales[j]))
 
 
+def _predict_composites(predict, row: np.ndarray, background: np.ndarray, n: int,
+                        composite) -> np.ndarray:
+    """Predictions of n composites, `_SCRATCH_CELLS // d` per predict call:
+    composite(lo, hi) gives each row's b and its (rows, d) mask of `row`."""
+    preds = np.empty(n)
+    step = max(1, _SCRATCH_CELLS // row.shape[0])
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        b, take = composite(lo, hi)
+        preds[lo:hi] = predict(np.where(take, row, background[b]))
+    return preds
+
+
 def _exact_shapley(predict, row: np.ndarray, background: np.ndarray,
                    differs: np.ndarray) -> np.ndarray:
-    d = row.shape[0]
-    n_masks = 1 << d
-    n_bg = background.shape[0]
-    # The composite of coalition S with background row b predicts the same
-    # as its restriction to D_b = differs[b], so predict each of the
-    # 2^|D_b| restrictions once. Restriction `code` of b takes feature j
-    # from `row` when bit place[b, j] of code is set.
+    n_bg, d = differs.shape
+    # Only D_b = differs[b] can change the value of b's game, so predict each
+    # of its 2^|D_b| restrictions once: restriction `code` of b takes D_b's
+    # i-th feature from `row` when bit i of code is set.
     place = np.where(differs, np.cumsum(differs, axis=1) - 1, 0)
-    sizes = np.left_shift(1, differs.sum(axis=1), dtype=np.int64)
-    offset = np.cumsum(sizes) - sizes
-    distinct = np.empty(int(sizes.sum()))
-    rows = max(1, _SCRATCH_CELLS // d)
-    for start in range(0, distinct.size, rows):
-        idx = np.arange(start, min(start + rows, distinct.size))
+    sizes = differs.sum(axis=1)  # |D_b|
+    counts = np.left_shift(1, sizes, dtype=np.int64)
+    offset = np.cumsum(counts) - counts
+
+    def restriction(lo, hi):
+        idx = np.arange(lo, hi)
         b = np.searchsorted(offset, idx, side="right") - 1
-        take = differs[b] & (((idx - offset[b])[:, None] >> place[b]) & 1).astype(bool)
-        distinct[start:start + idx.size] = predict(np.where(take, row[None, :], background[b]))
+        return b, differs[b] & (((idx - offset[b])[:, None] >> place[b]) & 1).astype(bool)
 
-    # v(S) = mean over b of the prediction of S restricted to D_b, gathered
-    # for one chunk of coalitions at a time
-    weight = np.where(differs, np.left_shift(1, place), 0).T  # (d, n_bg)
-    v = np.empty(n_masks)
-    counts = np.empty(n_masks, dtype=np.int8)  # |S|
-    chunk = max(1, _SCRATCH_CELLS // max(d, n_bg))  # bits is (chunk, d), codes (chunk, n_bg)
-    for start in range(0, n_masks, chunk):
-        masks = np.arange(start, min(start + chunk, n_masks), dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(d)[None, :]) & 1  # (chunk, d)
-        v[start:start + chunk] = distinct[bits @ weight + offset].mean(axis=1)
-        counts[start:start + chunk] = bits.sum(axis=1)
-    del distinct
+    v = _predict_composites(predict, row, background, int(counts.sum()), restriction)
 
-    masks = np.arange(n_masks, dtype=np.int64)
+    # φ_b of D_b's i-th feature sums the weighted gains of setting bit i,
+    # over the codes without it in code order; the codes and weights depend
+    # on (|D_b|, i) only
+    column = np.argsort(~differs, axis=1, kind="stable")  # D_b's i-th column
+    terms = np.zeros((n_bg, d))
     fact = [math.factorial(s) for s in range(d + 1)]
-    coeff = np.array([fact[s] * fact[d - 1 - s] / fact[d] for s in range(d)])
-    phi = np.zeros(d)
-    for i in range(d):
-        without = masks[(masks >> i) & 1 == 0]
-        gains = v[without | (1 << i)] - v[without]
-        phi[i] = float(np.sum(coeff[counts[without]] * gains))
-    return phi
+    for k in np.unique(sizes[sizes > 0]).tolist():
+        group = np.flatnonzero(sizes == k)
+        coeff = np.array([fact[s] * fact[k - 1 - s] / fact[k] for s in range(k)])
+        codes = np.arange(1 << k)
+        size = sum((codes >> i) & 1 for i in range(k))  # |S| of each code
+        step = max(1, _SCRATCH_CELLS >> (k - 1))  # b rows of gains at a time
+        for i in range(k):
+            without = codes[(codes >> i) & 1 == 0]
+            weight = coeff[size[without]]
+            for lo in range(0, group.size, step):
+                bs = group[lo:lo + step]
+                base = offset[bs, None]
+                gains = weight * (v[base + (without | (1 << i))] - v[base + without])
+                # one 1-D sum per b, as summing b's gains alone would give
+                terms[bs, column[bs, i]] = [np.add.reduce(g) for g in gains]
+    # φ = mean over b of φ_b, added in b order
+    return sum(terms, np.zeros(d)) / n_bg
 
 
 def _sampled_shapley(predict, row: np.ndarray, background: np.ndarray,
                      differs: np.ndarray, n_permutations: int,
                      rng: np.random.Generator) -> np.ndarray:
-    d = row.shape[0]
-    n_bg = background.shape[0]
+    n_bg, d = differs.shape
     sizes = differs.sum(axis=1)  # |D_b|
     pairs = -(-n_permutations // (2 * n_bg))  # antithetic pairs per b, ceil
     active = np.flatnonzero(sizes)
@@ -479,17 +485,17 @@ def _sampled_shapley(predict, row: np.ndarray, background: np.ndarray,
 
     # an entry's composite takes from `row` the features of its walk's
     # steps so far
-    preds = np.empty(first.size)
-    rows = max(1, _SCRATCH_CELLS // d)
-    for start in range(0, first.size, rows):
-        entry = first[start:start + rows]
+    def walk_entry(lo, hi):
+        entry = first[lo:hi]
         w = np.searchsorted(starts, entry, side="right") - 1
         taken = entry - starts[w]  # |S|
         offset = np.arange(int(taken.sum())) - np.repeat(np.cumsum(taken) - taken, taken)
-        cols = feature[np.repeat(first_step[w], taken) + offset]
-        composites = background[walk_b[w]]
-        composites[np.repeat(np.arange(entry.size), taken), cols] = row[cols]
-        preds[start:start + entry.size] = predict(composites)
+        take = np.zeros((entry.size, d), dtype=bool)
+        take[np.repeat(np.arange(entry.size), taken),
+             feature[np.repeat(first_step[w], taken) + offset]] = True
+        return walk_b[w], take
+
+    preds = _predict_composites(predict, row, background, first.size, walk_entry)
     gains = np.diff(preds[key])[is_step[1:]]
     # summed in walk order, as a loop over the walks would
     return np.bincount(feature, weights=gains, minlength=d) / (n_bg * 2 * pairs)
@@ -498,39 +504,33 @@ def _sampled_shapley(predict, row: np.ndarray, background: np.ndarray,
 def explain_shapley(model, row: np.ndarray, config: ShapleyConfig,
                     seed: int = 0) -> Explanation:
     """Shapley values under the value function v(S) = mean over background
-    rows of the prediction on composites taking S's features from the
-    instance. Exact coalition enumeration when d <= exact_max_d (seed
-    independent), permutation sampling otherwise. Attributions carry no
-    intervals; the perturbation planner infers them from value binning.
+    rows b of the prediction on the composite taking S's features from the
+    instance and the rest from b. By linearity φ = mean_b φ_b, the Shapley
+    values of b's own game v_b, in which only the features of D_b (those
+    with a split sending the instance and b apart, `model.routing_differs`;
+    every feature for an opaque callable) can change the value. Both
+    regimes compute that mean and predict each distinct composite once.
+    Attributions carry no intervals; the perturbation planner infers them
+    from value binning.
 
-    The sampled regime estimates φ = mean over b of b's own Shapley values
-    (linearity). `n_permutations` is the walk budget, split evenly over
-    the background rows: each b gets ceil(n_permutations / (2 n_background))
-    pairs of walks, a uniform permutation of D_b and its reverse
-    (antithetic sampling), so each b gets at least two walks. A b with an
+    When d <= exact_max_d, each b's 2^|D_b| game is enumerated and summed
+    per b (seed independent): φ_b[j] = Σ |S|!(k-1-|S|)!/k! (v_b(S ∪ {j}) -
+    v_b(S)) over the subsets S of D_b without j, k = |D_b|, and the φ_b are
+    added in b order.
+
+    Otherwise each φ_b is sampled. `n_permutations` is the walk budget,
+    split evenly over the background rows: each b gets
+    ceil(n_permutations / (2 n_background)) pairs of walks, a uniform
+    permutation of D_b and its reverse (antithetic sampling). A b with an
     empty D_b gets none: its game is constant and adds 0. φ is the sum of
     all walk steps' gains over n_background x (walks per b). Every walk's
     gains add up to f(x) - f(b), so Σφ = f(x) - mean_b f(b) to rounding.
     The walks are the stable argsorts of one block of uniforms per at most
     `_SCRATCH_CELLS // max |D_b|` pairs, drawn from the seed's generator.
 
-    Each distinct restricted composite is predicted once, in both regimes.
-    For background row b, D_b is the set of features with a split that
-    sends the instance and b to different sides (`model.routing_differs`;
-    every feature for an opaque callable). Taking a feature outside D_b
-    from the instance instead of b reaches the same leaves, so the same
-    prediction: the composite of coalition S predicts the same as its
-    restriction, which takes only S ∩ D_b from the instance. The exact
-    regime predicts the 2^|D_b| restrictions of each b (not 2^d) and
-    gathers v(S) from them; the sampled regime keys every walk start and
-    step by b and S ∩ D_b and predicts one restriction per distinct key.
-    Both give the same values, bit for bit, as predicting every composite.
-
-    Scratch memory is bounded by those distinct restrictions, not by
-    n_permutations x d or 2^d x n_background: the sampled regime keeps one
-    entry per walk start and per walk step (a feature of D_b), the exact
-    regime the 2^|D_b| predictions per b and 2^d coalition values, and each
-    predict call gets at most `_SCRATCH_CELLS // d` composite rows.
+    Scratch memory grows with the distinct composites, not with
+    n_permutations x d or 2^d x n_background (see the module docstring),
+    and each predict call gets at most `_SCRATCH_CELLS // d` composite rows.
     """
     predict = _as_predict_fn(model)
     row = np.asarray(row, dtype=np.float64)

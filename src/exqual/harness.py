@@ -57,7 +57,6 @@ from .explain import (
     SURROGATE_ID,
     ShapleyConfig,
     SurrogateConfig,
-    check_shapley_options,
     derive_seed,
     explain_shapley,
     explain_surrogate,
@@ -179,7 +178,7 @@ class ExplainerSpec:
             for name in ("n_background", "reference_size"):
                 if shapley.pop(name, 1) < 1:
                     raise InvalidSpec(f"{name} must be >= 1, got {options[name]}")
-            check_shapley_options(**shapley)
+            ShapleyConfig(background=np.zeros((1, 1)), **shapley)  # its options only
         return cls(explainer_id=eid, label=label, options=options)
 
     def to_dict(self) -> dict:

@@ -80,6 +80,8 @@ class GBTConfig:
             raise InvalidSpec(f"learning_rate must be in (0,1], got {self.learning_rate}")
         if not (0.0 < self.subsample <= 1.0):
             raise InvalidSpec(f"subsample must be in (0,1], got {self.subsample}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {"n_trees": self.n_trees, "max_depth": self.max_depth,

@@ -236,6 +236,8 @@ def generate_synthetic_log(gen_spec: dict, seed: int) -> EventLog:
     temporal split keeps the first traces in train.
     """
     check_gen_spec(gen_spec)
+    if seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed}")
     n_traces = gen_spec["n_traces"]
     activities = gen_spec["activities"]
     lo, hi = gen_spec["trace_length"]["min"], gen_spec["trace_length"]["max"]

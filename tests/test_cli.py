@@ -119,6 +119,34 @@ def test_explain_and_eval_chain(workspace, tmp_path):
         assert 0.5 <= float(r["y_original"]) < 1.0
 
 
+@pytest.mark.parametrize("explainer, defaults", [
+    ("surrogate", ["--n-samples", "5000", "--k", "10"]),
+    ("shapley", ["--n-background", "16", "--n-permutations", "2000"]),
+])
+def test_explain_defaults_live_in_the_explainer(workspace, tmp_path, explainer, defaults):
+    """Unset explainer flags store no options, and eval-fidelity scores the
+    set as it scores one written with the defaults spelled out."""
+    enc = workspace / "encoded"
+    matrix = read_matrix(str(enc / "bucket_all"))
+    case, length = matrix.case_ids[0], str(int(matrix.prefix_lengths[0]))
+    scored = []
+    for name, flags in (("bare", []), ("spelled", defaults)):
+        out = tmp_path / name
+        out.mkdir()
+        assert main(["explain", "--model", str(workspace / "model.json"),
+                     "--matrix", str(enc / "bucket_all"), "--case", case,
+                     "--prefix-length", length, "--explainer", explainer, "--m", "2",
+                     "--seed", "4", *flags, "--out", str(out / "set.json")]) == 0
+        assert main(["eval-fidelity", "--explanations", str(out),
+                     "--model", str(workspace / "model.json"),
+                     "--matrix", str(enc / "bucket_all"), "--k", "4", "--seed", "1",
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+        scored.append((tmp_path / f"{name}.csv").read_bytes())
+    assert scored[0] == scored[1]
+    bare = json.loads((tmp_path / "bare" / "set.json").read_text(encoding="utf-8"))
+    assert bare["explainer_spec"] == {"id": explainer}
+
+
 def test_run_and_report(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(tiny_config()), encoding="utf-8")
@@ -516,6 +544,12 @@ MALFORMED_INPUTS = {
         2, "matrix.json"),
     "train-missing-matrix": (lambda ws, tmp: _train(ws, tmp, str(tmp / "absent")),
                              1, "absent"),
+    "train-negative-seed": (
+        lambda ws, tmp: _train(ws, tmp, str(ws / "encoded" / "bucket_all")) + ["--seed", "-1"],
+        2, "seed"),
+    "synth-negative-seed": (lambda ws, tmp: _synth()(ws, tmp) + ["--seed", "-1"], 2, "seed"),
+    "explain-negative-model-seed": (
+        _edited_model(lambda doc: doc["config"].update(seed=-1)), 2, "model.json"),
     "eval-stability-list-explanations": (_eval_stability, 2, "listed.json"),
     "eval-stability-fractional-prefix-length": (
         _edited_set(lambda doc: doc.update(prefix_length=2.7)), 2, "set.json"),

@@ -308,7 +308,7 @@ def test_exact_shapley_bit_identical_to_full_enumeration(seed):
     assert differs.sum(axis=1).max() < d  # some composites are skipped
     predict = lambda block: predict_proba_rows(model, block)
     exp = explain_shapley(model, row, ShapleyConfig(background=bg), seed=seed)
-    assert np.array_equal(exp.weight_vector(), reference_exact_shapley(predict, row, bg))
+    assert np.array_equal(exp.weight_vector(), per_b_exact_shapley(predict, row, bg, differs))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -459,7 +459,7 @@ def test_shapley_bit_identical_when_background_rows_route_like_the_instance(d, c
     cfg = ShapleyConfig(background=bg, n_permutations=200)
     exp = explain_shapley(model, row, cfg, seed=5)
     if d <= cfg.exact_max_d:
-        expected = reference_exact_shapley(predict, row, bg)
+        expected = per_b_exact_shapley(predict, row, bg, differs)
     else:
         expected = reference_sampled_shapley(predict, row, bg, differs, cfg.n_permutations,
                                              np.random.default_rng(5))
@@ -469,11 +469,32 @@ def test_shapley_bit_identical_when_background_rows_route_like_the_instance(d, c
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_per_b_oracle_matches_full_enumeration(seed):
-    d = 12
-    model, rows, bg = gbt_with_missing(d, seed)
-    row = rows[100 + seed]
-    differs = routing_differs(model, row, bg)
-    predict = lambda block: predict_proba_rows(model, block)
+    # d = 13 is the case the engine is pinned to the per-b oracle on
+    for d in (12, 13):
+        model, rows, bg = gbt_with_missing(d, seed)
+        row = rows[100 + seed]
+        differs = routing_differs(model, row, bg)
+        predict = lambda block: predict_proba_rows(model, block)
+        oracle = per_b_exact_shapley(predict, row, bg, differs)
+        assert np.allclose(oracle, reference_exact_shapley(predict, row, bg), rtol=0, atol=1e-12)
+
+
+def opaque_case():
+    """A d = 15 callable with no routing, an instance and 16 background rows."""
+    d = 15
+    rng = np.random.default_rng(5)
+    row, bg = rng.normal(size=d), rng.normal(size=(16, d))
+
+    def predict(block):
+        return np.tanh(block[:, 0] * block[:, 1]) + block[:, 2:].sum(axis=1)
+
+    return predict, row, bg
+
+
+def test_per_b_oracle_matches_full_enumeration_for_opaque_model():
+    predict, row, bg = opaque_case()
+    differs = routing_differs(predict, row, bg)
+    assert differs.all()
     oracle = per_b_exact_shapley(predict, row, bg, differs)
     assert np.allclose(oracle, reference_exact_shapley(predict, row, bg), rtol=0, atol=1e-12)
 
@@ -538,8 +559,9 @@ def test_exact_shapley_scratch_does_not_grow_with_composite_batch():
     cfg = ShapleyConfig(background=bg)
     explain_shapley(model, row, cfg)
     peak = traced_peak(lambda: explain_shapley(model, row, cfg))
-    # 0.5 MiB of distinct predictions, 2^15 coalition values and one chunk;
-    # a single batch of every composite would take 7 MiB per (rows, d) array
+    # 0.5 MiB of distinct predictions, one composite chunk and the code and
+    # weight tables of one (|D_b|, feature); a single batch of every
+    # composite would take 7 MiB per (rows, d) array
     assert peak < 3 * 2**20
 
 
@@ -553,19 +575,19 @@ def test_routing_differs_all_true_without_trees():
 
 
 def test_exact_shapley_keeps_row_budget_for_opaque_model():
-    d = 15
-    rng = np.random.default_rng(5)
-    row, bg = rng.normal(size=d), rng.normal(size=(16, d))
+    opaque, row, bg = opaque_case()
+    d = row.shape[0]
     calls = []
 
     def predict(block):
         calls.append(block.shape[0])
-        return np.tanh(block[:, 0] * block[:, 1]) + block[:, 2:].sum(axis=1)
+        return opaque(block)
 
     exp = explain_shapley(predict, row, ShapleyConfig(background=bg))
     assert sum(calls) == 16 << d  # no routing is known: every composite
     assert max(calls) <= _SCRATCH_CELLS // d
-    assert np.array_equal(exp.weight_vector(), reference_exact_shapley(predict, row, bg))
+    expected = per_b_exact_shapley(opaque, row, bg, routing_differs(opaque, row, bg))
+    assert np.array_equal(exp.weight_vector(), expected)
 
 
 def test_shapley_input_validation():
